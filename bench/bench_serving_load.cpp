@@ -1,4 +1,4 @@
-// Open-loop serving load generator: drives the multi-shard engine with
+// Open-loop serving load generator: drives the multi-worker engine with
 // Poisson arrivals at fixed offered rates (fractions and multiples of the
 // measured saturation throughput) and reports, per rate, the achieved
 // throughput, p50/p95/p99 latency of admitted requests, and the overload
@@ -16,11 +16,11 @@
 //     or expired; nothing lost, no aborts.
 //
 // A final live-feed scenario exercises serving under churn: a feeder
-// thread streams freshly generated events through the journaled Advance
-// barrier at a configurable rate (CPDG_BENCH_FEED_EPS events/sec) while
-// Poisson query load runs, reporting how memory churn interacts with
-// latency and staleness (stale-served counts, cache invalidations) on top
-// of the same robustness gates.
+// thread streams freshly generated events through Advance (one replay,
+// then a snapshot swap) at a configurable rate (CPDG_BENCH_FEED_EPS
+// events/sec) while Poisson query load runs, reporting how memory churn
+// interacts with latency and staleness (stale-served counts, cache
+// invalidations) on top of the same robustness gates.
 //
 // Usage:
 //   bench_serving_load          full size:  600 nodes, 3 s per rate
@@ -355,7 +355,7 @@ int main(int argc, char** argv) {
                     BenchConfig(w.num_nodes), kPredictorHidden, &w.graph,
                     w.checkpoint_path, options)
                     .TakeValue();
-  std::printf("engine: %d shards, queue limit %lld (%s), deadline %lld us\n",
+  std::printf("engine: %d workers, queue limit %lld (%s), deadline %lld us\n",
               engine->num_shards(), static_cast<long long>(kQueueLimit),
               serve::OverloadPolicyName(options.overload),
               static_cast<long long>(kDeadlineUs));
@@ -393,8 +393,8 @@ int main(int argc, char** argv) {
 
   // --- live feed: event churn through Advance while query load runs ---
   //
-  // A feeder thread streams generated events through the Advance barrier
-  // at a fixed events/sec rate while Poisson queries run at half the
+  // A feeder thread streams generated events through Advance at a fixed
+  // events/sec rate while Poisson queries run at half the
   // closed-loop saturation. Two cache configurations, because the engine
   // deliberately treats churn differently by deadline mode:
   //   live_feed       — deadline set, so keep_stale_entries is forced on:

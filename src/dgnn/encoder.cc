@@ -65,8 +65,7 @@ DgnnEncoder::DgnnEncoder(const EncoderConfig& config,
                          const graph::GraphStore* graph, Rng* rng)
     : config_(config),
       graph_(graph),
-      memory_(config.num_nodes, config.memory_dim),
-      rng_(rng) {
+      memory_(config.num_nodes, config.memory_dim) {
   CPDG_CHECK(graph != nullptr);
   CPDG_CHECK(rng != nullptr);
   CPDG_CHECK_LE(graph->num_nodes(), config.num_nodes);
@@ -137,10 +136,10 @@ void DgnnEncoder::AttachGraph(const graph::GraphStore* graph) {
   CPDG_CHECK_LE(graph->num_nodes(), config_.num_nodes);
   graph_ = graph;
   memory_.Reset();
-  updated_states_.clear();
+  scratch_.Clear();
 }
 
-void DgnnEncoder::BeginBatch() { updated_states_.clear(); }
+void DgnnEncoder::BeginBatch() { scratch_.Clear(); }
 
 tensor::Tensor DgnnEncoder::NodeFeatures(
     const std::vector<NodeId>& nodes) const {
@@ -149,15 +148,16 @@ tensor::Tensor DgnnEncoder::NodeFeatures(
 }
 
 tensor::Tensor DgnnEncoder::AttentionNeighborSummary(
-    const std::vector<NodeId>& others, const std::vector<double>& times) {
+    const Memory& memory, const std::vector<NodeId>& others,
+    const std::vector<double>& times) const {
   int64_t n = static_cast<int64_t>(others.size());
   int64_t g = config_.num_neighbors;
   sampler::NeighborBatch nb = sampler::SampleNeighborBatch(
       *graph_, others, times, g, sampler::NeighborStrategy::kMostRecent,
-      rng_);
+      /*rng=*/nullptr);
 
   // Query: [s_j || x_j || phi(0)] from stored (pre-update) states.
-  ts::Tensor q_states = memory_.GetStates(others);
+  ts::Tensor q_states = memory.GetStates(others);
   ts::Tensor q_time = time_encoder_->Forward(std::vector<double>(
       static_cast<size_t>(n), 0.0));
   ts::Tensor query =
@@ -172,7 +172,7 @@ tensor::Tensor DgnnEncoder::AttentionNeighborSummary(
     cand_dts[s] =
         nb.valid[s] ? (times[s / static_cast<size_t>(g)] - nb.times[s]) : 0.0;
   }
-  ts::Tensor c_states = memory_.GetStates(cand_nodes);
+  ts::Tensor c_states = memory.GetStates(cand_nodes);
   ts::Tensor c_time = time_encoder_->Forward(cand_dts);
   ts::Tensor candidates =
       ts::Concat(ts::Concat(c_states, NodeFeatures(cand_nodes)), c_time);
@@ -181,11 +181,11 @@ tensor::Tensor DgnnEncoder::AttentionNeighborSummary(
 }
 
 tensor::Tensor DgnnEncoder::UpdateStates(
-    const std::vector<NodeId>& flush_nodes) {
+    const Memory& memory, const std::vector<NodeId>& flush_nodes) const {
   CPDG_CHECK(!flush_nodes.empty());
   int64_t n = static_cast<int64_t>(flush_nodes.size());
 
-  ts::Tensor self_states = memory_.GetStates(flush_nodes);
+  ts::Tensor self_states = memory.GetStates(flush_nodes);
 
   ts::Tensor messages;
   if (config_.aggregator == AggregatorType::kLast) {
@@ -194,19 +194,19 @@ tensor::Tensor DgnnEncoder::UpdateStates(
     std::vector<double> msg_times(flush_nodes.size());
     std::vector<double> deltas(flush_nodes.size());
     for (size_t i = 0; i < flush_nodes.size(); ++i) {
-      const auto& pending = memory_.Pending(flush_nodes[i]);
+      const auto& pending = memory.Pending(flush_nodes[i]);
       CPDG_CHECK(!pending.empty());
       const Memory::RawMessage& last = pending.back();
       others[i] = last.other;
       msg_times[i] = last.time;
-      deltas[i] = last.time - memory_.LastUpdate(flush_nodes[i]);
+      deltas[i] = last.time - memory.LastUpdate(flush_nodes[i]);
       if (deltas[i] < 0.0) deltas[i] = 0.0;
     }
     ts::Tensor other_repr;
     if (config_.message == MessageFunctionType::kAttention) {
-      other_repr = AttentionNeighborSummary(others, msg_times);
+      other_repr = AttentionNeighborSummary(memory, others, msg_times);
     } else {
-      other_repr = memory_.GetStates(others);
+      other_repr = memory.GetStates(others);
     }
     ts::Tensor phi = time_encoder_->Forward(deltas);
     messages = ts::Concat(
@@ -218,9 +218,8 @@ tensor::Tensor DgnnEncoder::UpdateStates(
     std::vector<ts::Tensor> rows;
     rows.reserve(flush_nodes.size());
     for (size_t i = 0; i < flush_nodes.size(); ++i) {
-      rows.push_back(
-          BuildAggregatedMessage(flush_nodes[i], memory_.Pending(
-                                                      flush_nodes[i])));
+      rows.push_back(BuildAggregatedMessage(
+          memory, flush_nodes[i], memory.Pending(flush_nodes[i])));
     }
     messages = ts::ConcatRows(rows);
   }
@@ -240,18 +239,19 @@ tensor::Tensor DgnnEncoder::UpdateStates(
 }
 
 tensor::Tensor DgnnEncoder::BuildAggregatedMessage(
-    NodeId node, const std::vector<Memory::RawMessage>& pending) {
+    const Memory& memory, NodeId node,
+    const std::vector<Memory::RawMessage>& pending) const {
   CPDG_CHECK(!pending.empty());
   std::vector<NodeId> self(pending.size(), node);
   std::vector<NodeId> others(pending.size());
   std::vector<double> deltas(pending.size());
-  double last_update = memory_.LastUpdate(node);
+  double last_update = memory.LastUpdate(node);
   for (size_t i = 0; i < pending.size(); ++i) {
     others[i] = pending[i].other;
     deltas[i] = std::max(0.0, pending[i].time - last_update);
   }
-  ts::Tensor self_states = memory_.GetStates(self);
-  ts::Tensor other_states = memory_.GetStates(others);
+  ts::Tensor self_states = memory.GetStates(self);
+  ts::Tensor other_states = memory.GetStates(others);
   ts::Tensor phi = time_encoder_->Forward(deltas);
   ts::Tensor rows = ts::Concat(
       ts::Concat(ts::Concat(self_states, other_states),
@@ -260,7 +260,8 @@ tensor::Tensor DgnnEncoder::BuildAggregatedMessage(
   return ts::ColMean(rows);  // Eq. (3) with mean aggregation
 }
 
-void DgnnEncoder::FlushNodes(const std::vector<NodeId>& nodes) {
+void DgnnEncoder::FlushNodes(const Memory& memory, ForwardScratch* scratch,
+                             const std::vector<NodeId>& nodes) const {
   CPDG_TRACE_SPAN("dgnn/memory_flush");
   // Split uncached nodes into those with pending messages (need the
   // differentiable update path) and those without (plain leaf states).
@@ -270,8 +271,10 @@ void DgnnEncoder::FlushNodes(const std::vector<NodeId>& nodes) {
                      ts::ArenaAllocator<NodeId>>
       dedup;
   for (NodeId v : nodes) {
-    if (updated_states_.count(v) != 0 || !dedup.insert(v).second) continue;
-    if (memory_.HasPending(v)) {
+    if (scratch->updated_states.count(v) != 0 || !dedup.insert(v).second) {
+      continue;
+    }
+    if (memory.HasPending(v)) {
       to_update.push_back(v);
     } else {
       plain.push_back(v);
@@ -281,55 +284,70 @@ void DgnnEncoder::FlushNodes(const std::vector<NodeId>& nodes) {
     static obs::Counter& state_updates =
         obs::MetricsRegistry::Global().counter("dgnn.memory.state_updates");
     state_updates.Add(static_cast<int64_t>(to_update.size()));
-    ts::Tensor updated = UpdateStates(to_update);
+    ts::Tensor updated = UpdateStates(memory, to_update);
     for (size_t i = 0; i < to_update.size(); ++i) {
-      updated_states_.emplace(
+      scratch->updated_states.emplace(
           to_update[i],
           ts::SliceRows(updated, static_cast<int64_t>(i), 1));
     }
   }
   if (!plain.empty()) {
-    ts::Tensor states = memory_.GetStates(plain);
+    ts::Tensor states = memory.GetStates(plain);
     for (size_t i = 0; i < plain.size(); ++i) {
-      updated_states_.emplace(
+      scratch->updated_states.emplace(
           plain[i], ts::SliceRows(states, static_cast<int64_t>(i), 1));
     }
   }
 }
 
-tensor::Tensor DgnnEncoder::NodeState(NodeId node) {
-  auto it = updated_states_.find(node);
-  if (it == updated_states_.end()) {
-    FlushNodes({node});
-    it = updated_states_.find(node);
+tensor::Tensor DgnnEncoder::NodeState(const Memory& memory,
+                                      ForwardScratch* scratch,
+                                      NodeId node) const {
+  auto it = scratch->updated_states.find(node);
+  if (it == scratch->updated_states.end()) {
+    FlushNodes(memory, scratch, {node});
+    it = scratch->updated_states.find(node);
   }
   return it->second;
 }
 
 tensor::Tensor DgnnEncoder::ComputeUpdatedStates(
     const std::vector<NodeId>& nodes) {
+  return ComputeUpdatedStates(memory_, &scratch_, nodes);
+}
+
+tensor::Tensor DgnnEncoder::ComputeUpdatedStates(
+    const Memory& memory, ForwardScratch* scratch,
+    const std::vector<NodeId>& nodes) const {
   CPDG_CHECK(!nodes.empty());
-  FlushNodes(nodes);
+  FlushNodes(memory, scratch, nodes);
   std::vector<ts::Tensor> rows;
   rows.reserve(nodes.size());
-  for (NodeId v : nodes) rows.push_back(NodeState(v));
+  for (NodeId v : nodes) rows.push_back(NodeState(memory, scratch, v));
   return ts::ConcatRows(rows);
 }
 
 tensor::Tensor DgnnEncoder::ComputeEmbeddings(
     const std::vector<NodeId>& nodes, const std::vector<double>& times) {
+  return ComputeEmbeddings(memory_, &scratch_, nodes, times);
+}
+
+tensor::Tensor DgnnEncoder::ComputeEmbeddings(
+    const Memory& memory, ForwardScratch* scratch,
+    const std::vector<NodeId>& nodes,
+    const std::vector<double>& times) const {
   CPDG_CHECK(!nodes.empty());
   CPDG_CHECK_EQ(nodes.size(), times.size());
   int64_t n = static_cast<int64_t>(nodes.size());
 
-  ts::Tensor root_states = ComputeUpdatedStates(nodes);
+  ts::Tensor root_states = ComputeUpdatedStates(memory, scratch, nodes);
 
   switch (config_.embedding) {
     case EmbeddingType::kAttention: {
       int64_t g = config_.num_neighbors;
       sampler::NeighborBatch nb = sampler::SampleNeighborBatch(
           *graph_, nodes, times, g, sampler::NeighborStrategy::kMostRecent,
-          rng_);
+          /*rng=*/nullptr);
       // Neighbor candidate states are read from memory storage as leaves:
       // gradients still reach the attention projections, the merge layer
       // and the time encoder; the flush path of the *root* nodes trains
@@ -342,7 +360,7 @@ tensor::Tensor DgnnEncoder::ComputeEmbeddings(
                           ? (times[s / static_cast<size_t>(g)] - nb.times[s])
                           : 0.0;
       }
-      ts::Tensor c_states = memory_.GetStates(cand_nodes);
+      ts::Tensor c_states = memory.GetStates(cand_nodes);
       ts::Tensor c_time = time_encoder_->Forward(cand_dts);
       ts::Tensor candidates =
           ts::Concat(ts::Concat(c_states, NodeFeatures(cand_nodes)), c_time);
@@ -363,7 +381,7 @@ tensor::Tensor DgnnEncoder::ComputeEmbeddings(
       std::vector<float> dts(static_cast<size_t>(n));
       for (int64_t i = 0; i < n; ++i) {
         double dt = times[static_cast<size_t>(i)] -
-                    memory_.LastUpdate(nodes[static_cast<size_t>(i)]);
+                    memory.LastUpdate(nodes[static_cast<size_t>(i)]);
         dts[static_cast<size_t>(i)] =
             static_cast<float>(std::max(0.0, dt));
       }
@@ -386,49 +404,61 @@ tensor::Tensor DgnnEncoder::ComputeEmbeddings(
 }
 
 void DgnnEncoder::CommitBatch(const std::vector<graph::Event>& events) {
+  Commit(&memory_, &scratch_, events);
+}
+
+void DgnnEncoder::Commit(Memory* memory, ForwardScratch* scratch,
+                         const std::vector<graph::Event>& events) {
   CPDG_TRACE_SPAN("dgnn/memory_commit");
   static obs::Counter& messages = obs::MetricsRegistry::Global().counter(
       "dgnn.memory.messages_enqueued");
   messages.Add(2 * static_cast<int64_t>(events.size()));
   // Persist flushed states (detached) and consume their pending messages.
-  for (auto& [node, state] : updated_states_) {
-    if (memory_.HasPending(node)) {
-      memory_.SetStates({node}, state);
-      memory_.ClearPending(node);
+  for (auto& [node, state] : scratch->updated_states) {
+    if (memory->HasPending(node)) {
+      memory->SetStates({node}, state);
+      memory->ClearPending(node);
     }
   }
-  updated_states_.clear();
+  scratch->Clear();
 
   // Enqueue this batch's interactions for both endpoints. The message's
   // delta is computed lazily at flush time from last_update, so order
   // matters: enqueue first, then advance last_update.
   for (const graph::Event& e : events) {
-    memory_.EnqueueMessage(e.src, Memory::RawMessage{e.dst, e.time});
-    memory_.EnqueueMessage(e.dst, Memory::RawMessage{e.src, e.time});
+    memory->EnqueueMessage(e.src, Memory::RawMessage{e.dst, e.time});
+    memory->EnqueueMessage(e.dst, Memory::RawMessage{e.src, e.time});
   }
   for (const graph::Event& e : events) {
-    memory_.SetLastUpdate(e.src, e.time);
-    memory_.SetLastUpdate(e.dst, e.time);
+    memory->SetLastUpdate(e.src, e.time);
+    memory->SetLastUpdate(e.dst, e.time);
   }
 }
 
 void DgnnEncoder::ReplayEvents(const std::vector<graph::Event>& events,
                                int64_t batch_size) {
+  scratch_.Clear();
+  ReplayEvents(&memory_, events, batch_size);
+}
+
+void DgnnEncoder::ReplayEvents(Memory* memory,
+                               const std::vector<graph::Event>& events,
+                               int64_t batch_size) const {
   CPDG_CHECK_GT(batch_size, 0);
+  ForwardScratch scratch;
   for (size_t start = 0; start < events.size();
        start += static_cast<size_t>(batch_size)) {
     size_t end = std::min(events.size(), start + static_cast<size_t>(
                                                      batch_size));
     std::vector<graph::Event> batch(events.begin() + start,
                                     events.begin() + end);
-    BeginBatch();
     std::vector<NodeId> touched;
     for (const graph::Event& e : batch) {
       touched.push_back(e.src);
       touched.push_back(e.dst);
     }
-    FlushNodes(touched);
-    CommitBatch(batch);
+    FlushNodes(*memory, &scratch, touched);
+    Commit(memory, &scratch, batch);
   }
 }
 

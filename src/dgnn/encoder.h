@@ -49,6 +49,22 @@ struct EncoderConfig {
   static EncoderConfig Preset(EncoderType type, int64_t num_nodes);
 };
 
+/// \brief Per-batch flush cache of a forward pass: the (possibly
+/// flush-updated) state row of every node touched so far in the batch.
+/// Owned by the caller, so one const encoder can run any number of
+/// concurrent forwards, each with its own scratch. The map's node and
+/// bucket allocations ride the calling thread's batch arena (one insert
+/// per flushed node per batch).
+struct ForwardScratch {
+  void Clear() { updated_states.clear(); }
+
+  std::unordered_map<NodeId, tensor::Tensor, std::hash<NodeId>,
+                     std::equal_to<NodeId>,
+                     tensor::ArenaAllocator<
+                         std::pair<const NodeId, tensor::Tensor>>>
+      updated_states;
+};
+
 /// \brief The generic memory-based DGNN encoder of Sec. III-B.
 ///
 /// The encoder follows TGN's training protocol: interactions enqueue raw
@@ -66,16 +82,18 @@ struct EncoderConfig {
 ///   encoder.CommitBatch(batch_events);
 ///
 /// \par Read-only (serving) protocol
-/// `BeginBatch()` + `ComputeEmbeddings()` *without* a following
-/// `CommitBatch()` is a pure read of the persistent state: pending
-/// messages are flushed into the per-batch cache only, and nothing is
-/// written back to `memory()` (its `version()` does not change). Given
-/// frozen parameters and a fixed memory version the result is a
-/// deterministic, bit-reproducible function of (nodes, times) — each
-/// output row depends only on its own query — which is what
-/// `serve::ServingEngine` builds its embedding cache and batch coalescing
-/// on. Wrap serving forwards in `tensor::InferenceModeGuard` so no
-/// autograd graph is retained.
+/// The const overloads take the memory and the flush cache from the
+/// caller: `ComputeEmbeddings(memory, &scratch, ...)` is a pure read of
+/// `memory` (pending messages are flushed into `scratch` only, and the
+/// memory's `version()` does not change), and `ReplayEvents(&memory, ...)`
+/// advances a caller-owned memory. Given frozen parameters and a fixed
+/// memory version the result is a deterministic, bit-reproducible function
+/// of (nodes, times) — each output row depends only on its own query —
+/// which is what `serve::ServingEngine` builds its shared snapshot, its
+/// embedding caches and its batch coalescing on. The member overloads are
+/// the same code path over `memory()` and the encoder's own scratch. Wrap
+/// serving forwards in `tensor::InferenceModeGuard` so no autograd graph
+/// is retained.
 class DgnnEncoder : public tensor::Module {
  public:
   DgnnEncoder(const EncoderConfig& config, const graph::GraphStore* graph,
@@ -101,6 +119,13 @@ class DgnnEncoder : public tensor::Module {
   tensor::Tensor ComputeEmbeddings(const std::vector<NodeId>& nodes,
                                    const std::vector<double>& times);
 
+  /// \brief Reentrant form of ComputeEmbeddings over a caller-owned
+  /// memory and flush cache; `memory` is only read.
+  tensor::Tensor ComputeEmbeddings(const Memory& memory,
+                                   ForwardScratch* scratch,
+                                   const std::vector<NodeId>& nodes,
+                                   const std::vector<double>& times) const;
+
   /// \brief Memory states s_i^t for the queried nodes after flushing
   /// pending messages, [n, memory_dim]. This is what the contrastive
   /// readouts of Eqs. (9)-(13) pool over.
@@ -123,35 +148,55 @@ class DgnnEncoder : public tensor::Module {
   void ReplayEvents(const std::vector<graph::Event>& events,
                     int64_t batch_size);
 
+  /// \brief Reentrant form of ReplayEvents: advances the caller-owned
+  /// `memory` (the encoder's own state is untouched).
+  void ReplayEvents(Memory* memory, const std::vector<graph::Event>& events,
+                    int64_t batch_size) const;
+
  private:
+  tensor::Tensor ComputeUpdatedStates(const Memory& memory,
+                                      ForwardScratch* scratch,
+                                      const std::vector<NodeId>& nodes) const;
+
+  /// Persists the flushed states of `scratch` (detached) into `memory` and
+  /// clears it, then enqueues `events` as raw messages.
+  static void Commit(Memory* memory, ForwardScratch* scratch,
+                     const std::vector<graph::Event>& events);
+
   /// Returns the (possibly flush-updated) state row of `node` as a [1,dim]
   /// tensor on the current batch graph.
-  tensor::Tensor NodeState(NodeId node);
+  tensor::Tensor NodeState(const Memory& memory, ForwardScratch* scratch,
+                           NodeId node) const;
 
   /// Flushes pending messages for all uncached nodes in `nodes`.
-  void FlushNodes(const std::vector<NodeId>& nodes);
+  void FlushNodes(const Memory& memory, ForwardScratch* scratch,
+                  const std::vector<NodeId>& nodes) const;
 
   /// Builds the aggregated message matrix for `flush_nodes` (each has
   /// pending messages) and returns Mem(s^-, m̄) rows, [n, memory_dim].
-  tensor::Tensor UpdateStates(const std::vector<NodeId>& flush_nodes);
+  tensor::Tensor UpdateStates(const Memory& memory,
+                              const std::vector<NodeId>& flush_nodes) const;
 
   /// Message content for one (node, messages) pair: returns the [1,msg_dim]
   /// aggregated message tensor.
-  tensor::Tensor BuildAggregatedMessage(NodeId node,
-                                        const std::vector<Memory::RawMessage>&
-                                            messages);
+  tensor::Tensor BuildAggregatedMessage(
+      const Memory& memory, NodeId node,
+      const std::vector<Memory::RawMessage>& messages) const;
 
   /// Attention-based neighbor summary of `others` at `times` (DyRep's
   /// attention message function), [n, memory_dim].
-  tensor::Tensor AttentionNeighborSummary(const std::vector<NodeId>& others,
-                                          const std::vector<double>& times);
+  tensor::Tensor AttentionNeighborSummary(
+      const Memory& memory, const std::vector<NodeId>& others,
+      const std::vector<double>& times) const;
 
   int64_t message_dim() const;
 
   EncoderConfig config_;
   const graph::GraphStore* graph_;
   Memory memory_;
-  Rng* rng_;
+  /// Flush cache of the member (training) protocol; cleared every
+  /// BeginBatch/CommitBatch.
+  ForwardScratch scratch_;
 
   // Parameterized components.
   std::unique_ptr<tensor::TimeEncoder> time_encoder_;
@@ -164,15 +209,6 @@ class DgnnEncoder : public tensor::Module {
   tensor::Tensor jodie_projection_;  // [1, memory_dim] for time projection
   std::unique_ptr<tensor::Linear> embed_output_;
   tensor::Tensor node_features_;  // [num_nodes, memory_dim] static features
-
-  // Per-batch cache of flushed state rows. The map's node and bucket
-  // allocations ride the batch arena (one insert per flushed node per
-  // batch; cleared every BeginBatch/CommitBatch).
-  std::unordered_map<NodeId, tensor::Tensor, std::hash<NodeId>,
-                     std::equal_to<NodeId>,
-                     tensor::ArenaAllocator<
-                         std::pair<const NodeId, tensor::Tensor>>>
-      updated_states_;
 };
 
 /// \brief Temporal link prediction decoder (Eq. 15):

@@ -24,13 +24,14 @@ namespace cpdg::serve {
 /// LookupAnyVersion and flag the response stale, instead of missing its
 /// deadline recomputing.
 ///
-/// The engine either calls InvalidateAll() on advance to reclaim dead
-/// entries eagerly, or — when configured to keep a stale generation for
-/// degradation — leaves them to be overwritten by fresh inserts at the
-/// same (node, time) or pushed out by LRU pressure.
+/// The engine either calls InvalidateAll() when a worker first sees a new
+/// memory version, to reclaim dead entries eagerly, or — when configured
+/// to keep a stale generation for degradation — leaves them to be
+/// overwritten by fresh inserts at the same (node, time) or pushed out by
+/// LRU pressure.
 ///
-/// The cache is NOT thread-safe; in the serving engine each shard
-/// executor thread owns its own instance. Hit/miss/eviction/invalidation
+/// The cache is NOT thread-safe; in the serving engine each executor
+/// worker's thread owns its own instance. Hit/miss/eviction/invalidation
 /// totals are mirrored into the global MetricsRegistry under serve.cache.*
 /// and kept as plain members for tests.
 class EmbeddingCache {

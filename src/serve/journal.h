@@ -12,11 +12,10 @@ namespace cpdg::serve {
 
 /// \file On-disk advance journal (CPDG_SERVE_JOURNAL_DIR).
 ///
-/// The in-memory journal_ of ServingEngine makes a watchdog-rebuilt
-/// *shard* recover advances; this file makes a restarted *process* recover
-/// them: every successful-validation Advance appends one entry file before
-/// any replica replays it, and FromCheckpoint reloads the directory into
-/// the journal before building shards.
+/// Makes a restarted *process* recover its advances: every Advance
+/// appends one entry file before it publishes the new memory snapshot,
+/// and FromCheckpoint replays the directory onto the checkpoint's memory
+/// before serving.
 ///
 /// Format: each entry reuses the storage layer's delta-file framing
 /// (storage::FileHeader kind=kDelta | raw graph::Event records |

@@ -19,8 +19,6 @@
 
 namespace cpdg::serve {
 
-class AdvanceOp;  // shard_router.h; Request only carries a shared_ptr
-
 /// \brief Embedding answer plus its serving provenance: which memory
 /// version the rows were computed at, whether they were served from a
 /// stale cache generation under deadline pressure, and the end-to-end
@@ -40,12 +38,11 @@ struct ScoreResponse {
   int64_t latency_us = 0;
 };
 
-/// \brief One pending client call, parked on a promise until a shard
-/// executor fulfills it. Exactly one of the promises is used, selected by
-/// `kind`; kAdvance requests carry no promise — they are rendezvous
-/// barriers coordinated through the shared AdvanceOp.
+/// \brief One pending client call, parked on a promise until an executor
+/// worker fulfills it. Exactly one of the promises is used, selected by
+/// `kind`.
 struct Request {
-  enum class Kind { kEmbed, kScoreLinks, kAdvance };
+  enum class Kind { kEmbed, kScoreLinks };
 
   Kind kind = Kind::kEmbed;
 
@@ -53,10 +50,8 @@ struct Request {
   std::vector<graph::NodeId> nodes;
   /// kScoreLinks only: link destinations (same length as `nodes`).
   std::vector<graph::NodeId> dsts;
-  /// Query time t for kEmbed / kScoreLinks.
+  /// Query time t.
   double time = 0.0;
-  /// kAdvance only: the cross-shard two-phase barrier this request joins.
-  std::shared_ptr<AdvanceOp> advance;
 
   std::promise<Result<EmbedResponse>> embed_result;
   std::promise<Result<ScoreResponse>> score_result;
@@ -107,23 +102,15 @@ enum class [[nodiscard]] PushOutcome { kAccepted, kRejected, kShutdown };
 /// bounded by an admission-control limit.
 ///
 /// Producers (any number of client threads) Push; a single consumer (the
-/// shard's executor thread) drains with PopBatch, which blocks until at
+/// worker's executor thread) drains with PopBatch, which blocks until at
 /// least one request is queued and then keeps absorbing requests — waiting
 /// up to `max_wait` for stragglers — until it holds `max_batch` of them.
 ///
-/// With `limit > 0` the queue refuses to grow past `limit` requests; the
-/// OverloadPolicy decides whether the producer is rejected, the oldest
-/// queued request is shed (returned to the producer to fail), or the
-/// producer blocks for space. Control-plane pushes (advance barriers,
-/// which must reach the executor even under overload) use PushControl and
-/// bypass the limit.
-///
-/// kAdvance requests are batch barriers: an advance is only ever returned
-/// alone, and a batch never extends past one. Combined with FIFO order
-/// this guarantees every embed/score request is executed against the
-/// memory version that was current when it was enqueued relative to
-/// surrounding advances — a coalesced batch can never straddle a memory
-/// mutation.
+/// Contract: with `limit > 0`, queued data requests ≤ `limit` at every
+/// instant (so peak_depth() ≤ limit); nothing else ever occupies a slot.
+/// The OverloadPolicy decides whether a producer arriving at a full queue
+/// is rejected, the oldest queued request is shed (returned to the
+/// producer to fail), or the producer blocks for space.
 class RequestQueue {
  public:
   struct Options {
@@ -139,7 +126,7 @@ class RequestQueue {
   /// the request has been moved into the queue; on kRejected/kShutdown it
   /// is left with the caller, who must fail its promise. Under
   /// kShedOldest, evicted older requests are appended to `*shed` (also for
-  /// the caller to fail); barriers are never shed.
+  /// the caller to fail).
   PushOutcome Push(std::unique_ptr<Request>& request,
                    std::vector<std::unique_ptr<Request>>* shed = nullptr) {
     std::unique_lock<std::mutex> lock(mu_);
@@ -151,14 +138,8 @@ class RequestQueue {
           return PushOutcome::kRejected;
         case OverloadPolicy::kShedOldest: {
           while (static_cast<int64_t>(queue_.size()) >= options_.limit) {
-            auto victim = queue_.begin();
-            while (victim != queue_.end() &&
-                   (*victim)->kind == Request::Kind::kAdvance) {
-              ++victim;
-            }
-            if (victim == queue_.end()) return PushOutcome::kRejected;
-            if (shed != nullptr) shed->push_back(std::move(*victim));
-            queue_.erase(victim);
+            if (shed != nullptr) shed->push_back(std::move(queue_.front()));
+            queue_.pop_front();
           }
           break;
         }
@@ -179,21 +160,6 @@ class RequestQueue {
     return PushOutcome::kAccepted;
   }
 
-  /// \brief Control-plane enqueue (advance barriers): bypasses the queue
-  /// limit so an overloaded shard still quiesces. Fails only after
-  /// Shutdown, leaving the request with the caller.
-  PushOutcome PushControl(std::unique_ptr<Request>& request) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (shutdown_) return PushOutcome::kShutdown;
-      queue_.push_back(std::move(request));
-      peak_depth_ =
-          std::max(peak_depth_, static_cast<int64_t>(queue_.size()));
-    }
-    cv_.notify_one();
-    return PushOutcome::kAccepted;
-  }
-
   /// \brief Blocks for the next coalesced batch (see class comment).
   /// Returns an empty vector only when the queue is shut down and fully
   /// drained — the executor's exit signal.
@@ -207,14 +173,6 @@ class RequestQueue {
     const auto deadline = std::chrono::steady_clock::now() + max_wait;
     while (static_cast<int64_t>(batch.size()) < max_batch) {
       if (!queue_.empty()) {
-        if (queue_.front()->kind == Request::Kind::kAdvance) {
-          // Barrier: pop it alone, never alongside other work.
-          if (batch.empty()) {
-            batch.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-          }
-          break;
-        }
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
         continue;
@@ -233,7 +191,7 @@ class RequestQueue {
 
   /// \brief Removes and returns everything queued (the restart drain: the
   /// watchdog fails these with kUnavailable instead of letting them rot in
-  /// a dead shard's queue). Wakes blocked producers.
+  /// a wedged worker's queue). Wakes blocked producers.
   std::vector<std::unique_ptr<Request>> DrainAll() {
     std::vector<std::unique_ptr<Request>> drained;
     {

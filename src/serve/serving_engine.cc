@@ -16,6 +16,7 @@
 #include "train/checkpoint.h"
 #include "util/check.h"
 #include "util/fault_injection.h"
+#include "util/rng.h"
 
 namespace cpdg::serve {
 namespace {
@@ -161,16 +162,9 @@ AdmissionDecision DecideAdmission(int64_t now_us, int64_t enqueue_us,
 }
 
 ServingEngine::ServingEngine(const dgnn::EncoderConfig& config,
-                             int64_t predictor_hidden,
                              const graph::GraphStore* graph,
-                             std::string checkpoint_path,
                              const ServingOptions& options)
-    : options_(options),
-      config_(config),
-      predictor_hidden_(predictor_hidden),
-      graph_(graph),
-      checkpoint_path_(std::move(checkpoint_path)),
-      router_(options.num_shards) {}
+    : options_(options), config_(config), graph_(graph) {}
 
 Result<std::unique_ptr<ServingEngine>> ServingEngine::FromCheckpoint(
     const dgnn::EncoderConfig& config, int64_t predictor_hidden,
@@ -199,95 +193,62 @@ Result<std::unique_ptr<ServingEngine>> ServingEngine::FromCheckpoint(
   if (opts.default_deadline_us < 0) {
     return Status::InvalidArgument("default_deadline_us must be >= 0");
   }
-  if (opts.watchdog_interval_ms < 1 || opts.watchdog_max_missed < 1 ||
-      opts.quiesce_timeout_ms < 1) {
+  if (opts.watchdog_interval_ms < 1 || opts.watchdog_max_missed < 1) {
     return Status::InvalidArgument(
-        "watchdog interval/max_missed and quiesce timeout must be positive");
+        "watchdog interval and max_missed must be positive");
   }
   // Deadline-pressed requests degrade to stale cache hits; that needs the
   // previous cache generation to survive advances.
   if (opts.default_deadline_us > 0) opts.keep_stale_entries = true;
 
-  std::unique_ptr<ServingEngine> engine(new ServingEngine(
-      config, predictor_hidden, graph, checkpoint_path, opts));
-  if (!opts.journal_dir.empty()) {
-    // Process-restart recovery: reload every durably-journaled advance so
-    // the BuildShard catch-up below replays them onto the checkpoint's
-    // memory snapshot, exactly as a watchdog-rebuilt shard would. No
-    // executors exist yet, so journal_ needs no lock here.
-    CPDG_ASSIGN_OR_RETURN(std::vector<std::vector<graph::Event>> persisted,
-                          LoadJournal(opts.journal_dir, config.num_nodes));
-    for (std::vector<graph::Event>& events : persisted) {
-      engine->journal_.push_back(
-          std::make_shared<const std::vector<graph::Event>>(
-              std::move(events)));
-    }
-    engine->journal_next_seq_ =
-        static_cast<int64_t>(engine->journal_.size());
-  }
+  std::unique_ptr<ServingEngine> engine(
+      new ServingEngine(config, graph, opts));
+  CPDG_RETURN_NOT_OK(engine->Load(checkpoint_path, predictor_hidden));
   for (int i = 0; i < opts.num_shards; ++i) {
-    size_t applied = 0;
-    CPDG_ASSIGN_OR_RETURN(std::shared_ptr<Shard> shard,
-                          engine->BuildShard(i, &applied));
-    engine->shards_.push_back(std::move(shard));
-  }
-  engine->serve_version_.store(
-      engine->shards_[0]->encoder->memory().version());
-  for (const auto& shard : engine->shards_) {
-    // Replica construction is deterministic; divergence here is a bug,
-    // not an input error.
-    CPDG_CHECK_EQ(shard->encoder->memory().version(),
-                  engine->serve_version_.load());
-    engine->StartShard(shard);
+    engine->workers_.push_back(engine->StartWorker());
   }
   engine->StartWatchdog();
   return engine;
 }
 
-Result<std::shared_ptr<ServingEngine::Shard>> ServingEngine::BuildShard(
-    int index, size_t* journal_applied) {
+Status ServingEngine::Load(const std::string& checkpoint_path,
+                           int64_t predictor_hidden) {
   CPDG_TRACE_SPAN("serve/load_checkpoint");
-  if (util::FaultInjector::Instance().ConsumeServeReloadCorrupt()) {
-    return Status::IoError(
-        "injected checkpoint corruption (CPDG_FAULT_SERVE_RELOAD_CORRUPT)");
-  }
   CPDG_ASSIGN_OR_RETURN(ts::SectionReader reader,
-                        ts::SectionReader::Open(checkpoint_path_));
+                        ts::SectionReader::Open(checkpoint_path));
   CPDG_ASSIGN_OR_RETURN(std::string_view payload,
                         reader.Find(ts::kParamsSection));
   CPDG_ASSIGN_OR_RETURN(std::vector<ts::Tensor> loaded,
                         ts::DecodeTensorList(payload));
 
-  auto shard = std::make_shared<Shard>();
-  shard->index = index;
-  shard->encoder =
-      std::make_unique<dgnn::DgnnEncoder>(config_, graph_, &shard->rng);
-  if (predictor_hidden_ > 0) {
-    shard->predictor = std::make_unique<dgnn::LinkPredictor>(
-        config_.embed_dim, predictor_hidden_, &shard->rng);
+  // Parameters are overwritten by the checkpoint restore; the seed only
+  // determines the (discarded) construction-time initialization.
+  Rng init_rng(0x5e17f0u);
+  encoder_ = std::make_unique<dgnn::DgnnEncoder>(config_, graph_, &init_rng);
+  if (predictor_hidden > 0) {
+    predictor_ = std::make_unique<dgnn::LinkPredictor>(
+        config_.embed_dim, predictor_hidden, &init_rng);
   }
-  RequestQueue::Options queue_options;
-  queue_options.limit = options_.queue_limit;
-  queue_options.policy = options_.overload;
-  shard->queue = std::make_unique<RequestQueue>(queue_options);
-  shard->cache = std::make_unique<EmbeddingCache>(options_.cache_capacity);
-
   // Encoder parameters first, predictor appended — the pre-trainer's save
   // order. RestoreTensorData validates count and every shape before
   // copying anything, so a checkpoint from a different architecture is
-  // rejected without a partially-restored replica.
-  std::vector<ts::Tensor> params = shard->encoder->Parameters();
-  if (shard->predictor != nullptr) {
-    std::vector<ts::Tensor> dec = shard->predictor->Parameters();
+  // rejected without a partially-restored model.
+  std::vector<ts::Tensor> params = encoder_->Parameters();
+  if (predictor_ != nullptr) {
+    std::vector<ts::Tensor> dec = predictor_->Parameters();
     params.insert(params.end(), dec.begin(), dec.end());
   }
   CPDG_RETURN_NOT_OK(ts::RestoreTensorData(params, loaded));
 
+  // The snapshot takes over the encoder's own memory, which serving never
+  // reads; a one-node placeholder keeps encoder().memory() valid, so only
+  // one copy of the memory stays resident.
+  auto memory = std::make_shared<dgnn::Memory>(std::move(encoder_->memory()));
+  encoder_->memory() = dgnn::Memory(1, config_.memory_dim);
   if (reader.Has(train::kMemorySection)) {
     CPDG_ASSIGN_OR_RETURN(std::string_view memory_bytes,
                           reader.Find(train::kMemorySection));
-    CPDG_RETURN_NOT_OK(
-        shard->encoder->memory().DeserializeFrom(memory_bytes));
+    CPDG_RETURN_NOT_OK(memory->DeserializeFrom(memory_bytes));
   }
 
   // Freeze: serving never trains, and inference-mode forwards skip graph
@@ -305,33 +266,39 @@ Result<std::shared_ptr<ServingEngine::Shard>> ServingEngine::BuildShard(
     constexpr int64_t kMaxQuantRows = 8192;
     for (const ts::Tensor& p : params) {
       if (p.rows() < 2 || p.rows() > kMaxQuantRows) continue;
-      shard->quant_params.AddWeight(p.data(), p.rows(), p.cols());
+      quant_params_.AddWeight(p.data(), p.rows(), p.cols());
     }
   }
 
-  // Catch up to the fleet: replay every journaled advance in the same
-  // kAdvanceReplayBatch chunks the live replicas used, which makes this
-  // replica bit-identical to them (DESIGN.md §12).
-  std::vector<std::shared_ptr<const std::vector<graph::Event>>> entries;
-  {
-    std::lock_guard<std::mutex> lock(shards_mu_);
-    entries = journal_;
-  }
-  {
+  if (!options_.journal_dir.empty()) {
+    // Process-restart recovery: replay every durably-journaled advance
+    // onto the checkpoint's memory in the same kAdvanceReplayBatch chunks
+    // Advance used, which reproduces the journaling process's memory bit
+    // for bit (DESIGN.md §12).
+    CPDG_ASSIGN_OR_RETURN(
+        std::vector<std::vector<graph::Event>> persisted,
+        LoadJournal(options_.journal_dir, config_.num_nodes));
     ts::InferenceModeGuard guard;
-    for (const auto& events : entries) {
-      shard->encoder->ReplayEvents(*events, kAdvanceReplayBatch);
+    for (const std::vector<graph::Event>& events : persisted) {
+      encoder_->ReplayEvents(memory.get(), events, kAdvanceReplayBatch);
     }
+    journal_next_seq_ = static_cast<int64_t>(persisted.size());
   }
-  *journal_applied = entries.size();
-  return shard;
+  serve_version_.store(memory->version());
+  snapshot_ = std::move(memory);
+  return Status::OK();
 }
 
-void ServingEngine::StartShard(const std::shared_ptr<Shard>& shard) {
-  CPDG_CHECK(!shard->executor.joinable());
-  std::shared_ptr<Shard> owned = shard;
-  shard->executor = std::thread(
-      [this, owned = std::move(owned)] { ExecutorLoop(owned); });
+std::shared_ptr<ServingEngine::Worker> ServingEngine::StartWorker() {
+  auto w = std::make_shared<Worker>();
+  RequestQueue::Options queue_options;
+  queue_options.limit = options_.queue_limit;
+  queue_options.policy = options_.overload;
+  w->queue = std::make_unique<RequestQueue>(queue_options);
+  w->cache = std::make_unique<EmbeddingCache>(options_.cache_capacity);
+  w->cache_version = memory_version();
+  w->executor = std::thread([this, w] { ExecutorLoop(w); });
+  return w;
 }
 
 void ServingEngine::StartWatchdog() {
@@ -339,78 +306,36 @@ void ServingEngine::StartWatchdog() {
   wopts.interval = std::chrono::milliseconds(options_.watchdog_interval_ms);
   wopts.max_missed = options_.watchdog_max_missed;
   std::vector<Watchdog::Target> targets;
-  for (int i = 0; i < router_.num_shards(); ++i) {
+  for (int i = 0; i < options_.num_shards; ++i) {
     Watchdog::Target target;
-    target.heartbeat = [this, i] { return shard(i)->heartbeat.load(); };
+    target.heartbeat = [this, i] { return worker(i)->heartbeat.load(); };
     target.has_work = [this, i] {
-      std::shared_ptr<Shard> s = shard(i);
-      return s->queue->depth() > 0 || s->inflight.load() > 0;
+      std::shared_ptr<Worker> w = worker(i);
+      return w->queue->depth() > 0 || w->inflight.load() > 0;
     };
-    target.failed = [this, i] { return shard(i)->failed.load(); };
     targets.push_back(std::move(target));
   }
   watchdog_ = std::make_unique<Watchdog>(
-      wopts, std::move(targets), [this](int i) { return RestartShard(i); });
+      wopts, std::move(targets), [this](int i) { RestartWorker(i); });
   watchdog_->Start();
 }
 
-bool ServingEngine::RestartShard(int index) {
-  std::shared_ptr<Shard> old = shard(index);
-  // Fence the failed replica: no new admissions, fail what was queued.
-  old->failed.store(true);
+void ServingEngine::RestartWorker(int index) {
+  std::shared_ptr<Worker> old = worker(index);
+  // Fence the wedged worker: no new admissions, fail what was queued. Its
+  // thread finishes the in-flight batch, then exits on the shut-down queue.
   old->queue->Shutdown();
   const Status drained_status = Status::Unavailable(
-      "shard " + std::to_string(index) + " restarting after failure");
+      "worker " + std::to_string(index) + " restarting after a wedge");
   for (std::unique_ptr<Request>& request : old->queue->DrainAll()) {
     drained_.fetch_add(1);
     DrainedCounter().Add();
-    FailRequest(request.get(), drained_status, index);
+    FailRequest(request.get(), drained_status);
   }
-
-  size_t applied = 0;
-  Result<std::shared_ptr<Shard>> rebuilt = BuildShard(index, &applied);
-  if (!rebuilt.ok()) {
-    reload_failures_.fetch_add(1);
-    std::fprintf(stderr, "cpdg-serve: shard %d reload failed: %s\n", index,
-                 rebuilt.status().ToString().c_str());
-    return false;  // old shard stays failed; watchdog retries next tick
-  }
-  std::shared_ptr<Shard> fresh = rebuilt.TakeValue();
-
-  // Swap in only once the replica has caught up with every journaled
-  // advance — advances race this restart, and an un-caught-up swap would
-  // serve an older memory version. Barrier pushes go to the shard list
-  // snapshot taken under shards_mu_ when the advance was journaled, so
-  // after the swap (same mutex) an advance either reached the old queue
-  // (absent — this replica has it via the journal) or targets the fresh
-  // replica's queue directly.
-  while (true) {
-    std::vector<std::shared_ptr<const std::vector<graph::Event>>> delta;
-    {
-      std::lock_guard<std::mutex> lock(shards_mu_);
-      if (journal_.size() == applied) {
-        zombies_.push_back(old);
-        shards_[index] = fresh;
-        break;
-      }
-      delta.assign(journal_.begin() + static_cast<int64_t>(applied),
-                   journal_.end());
-      applied = journal_.size();
-    }
-    ts::InferenceModeGuard guard;
-    for (const auto& events : delta) {
-      fresh->encoder->ReplayEvents(*events, kAdvanceReplayBatch);
-    }
-  }
-  StartShard(fresh);
-  // Keep the fleet version honest if this replica caught up past the last
-  // coordinated bump (e.g. every other shard failed that advance).
-  uint64_t seen = serve_version_.load();
-  const uint64_t mine = fresh->encoder->memory().version();
-  while (mine > seen &&
-         !serve_version_.compare_exchange_weak(seen, mine)) {
-  }
-  return true;
+  std::shared_ptr<Worker> fresh = StartWorker();
+  std::lock_guard<std::mutex> lock(workers_mu_);
+  zombies_.push_back(std::move(old));
+  workers_[static_cast<size_t>(index)] = std::move(fresh);
 }
 
 ServingEngine::~ServingEngine() { Shutdown(); }
@@ -419,110 +344,76 @@ void ServingEngine::Shutdown() {
   bool expected = false;
   if (!shutdown_.compare_exchange_strong(expected, true)) return;
   // Stop the watchdog first so a shutdown drain is never mistaken for a
-  // wedged shard mid-teardown.
+  // wedged worker mid-teardown.
   if (watchdog_ != nullptr) watchdog_->Stop();
-  std::vector<std::shared_ptr<Shard>> all;
-  {
-    std::lock_guard<std::mutex> lock(shards_mu_);
-    all = shards_;
-    all.insert(all.end(), zombies_.begin(), zombies_.end());
-  }
-  for (const auto& shard : all) shard->queue->Shutdown();
-  for (const auto& shard : all) {
-    if (shard->executor.joinable()) shard->executor.join();
-  }
-  // A shard whose executor exited failed (and was never restarted) may
-  // still hold queued requests: fail them explicitly rather than letting
-  // their clients hang on a dropped promise.
-  const Status status =
-      Status::FailedPrecondition("serving engine shut down before execution");
-  for (const auto& shard : all) {
-    for (std::unique_ptr<Request>& request : shard->queue->DrainAll()) {
-      drained_.fetch_add(1);
-      DrainedCounter().Add();
-      FailRequest(request.get(), status, shard->index);
-    }
+  // A shut-down queue refuses new pushes and its executor answers
+  // everything already queued before exiting, so no client is left
+  // waiting on a dropped promise.
+  const std::vector<std::shared_ptr<Worker>> all = AllWorkers();
+  for (const auto& w : all) w->queue->Shutdown();
+  for (const auto& w : all) {
+    if (w->executor.joinable()) w->executor.join();
   }
 }
 
-std::shared_ptr<ServingEngine::Shard> ServingEngine::shard(int index) const {
-  std::lock_guard<std::mutex> lock(shards_mu_);
-  return shards_[static_cast<size_t>(index)];
+std::shared_ptr<ServingEngine::Worker> ServingEngine::worker(
+    int index) const {
+  std::lock_guard<std::mutex> lock(workers_mu_);
+  return workers_[static_cast<size_t>(index)];
 }
 
-const dgnn::DgnnEncoder& ServingEngine::encoder() const {
-  return *shard(0)->encoder;
+std::vector<std::shared_ptr<ServingEngine::Worker>>
+ServingEngine::AllWorkers() const {
+  std::lock_guard<std::mutex> lock(workers_mu_);
+  std::vector<std::shared_ptr<Worker>> all = workers_;
+  all.insert(all.end(), zombies_.begin(), zombies_.end());
+  return all;
 }
 
-std::vector<uint64_t> ServingEngine::ShardMemoryVersions() const {
-  // Quiescent-state test hook: versions are sampled without stopping the
-  // executors, so call it only when no advance is in flight.
-  std::lock_guard<std::mutex> lock(shards_mu_);
-  std::vector<uint64_t> versions;
-  versions.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    versions.push_back(shard->encoder->memory().version());
-  }
-  return versions;
+std::shared_ptr<const dgnn::Memory> ServingEngine::memory_snapshot() const {
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  return snapshot_;
 }
 
 int64_t ServingEngine::cache_hits() const {
-  std::lock_guard<std::mutex> lock(shards_mu_);
   int64_t total = 0;
-  for (const auto& s : shards_) total += s->cache->hits();
-  for (const auto& s : zombies_) total += s->cache->hits();
+  for (const auto& w : AllWorkers()) total += w->cache->hits();
   return total;
 }
 
 int64_t ServingEngine::cache_misses() const {
-  std::lock_guard<std::mutex> lock(shards_mu_);
   int64_t total = 0;
-  for (const auto& s : shards_) total += s->cache->misses();
-  for (const auto& s : zombies_) total += s->cache->misses();
+  for (const auto& w : AllWorkers()) total += w->cache->misses();
   return total;
 }
 
 int64_t ServingEngine::cache_evictions() const {
-  std::lock_guard<std::mutex> lock(shards_mu_);
   int64_t total = 0;
-  for (const auto& s : shards_) total += s->cache->evictions();
-  for (const auto& s : zombies_) total += s->cache->evictions();
+  for (const auto& w : AllWorkers()) total += w->cache->evictions();
   return total;
 }
 
 int64_t ServingEngine::cache_invalidations() const {
-  std::lock_guard<std::mutex> lock(shards_mu_);
   int64_t total = 0;
-  for (const auto& s : shards_) total += s->cache->invalidations();
-  for (const auto& s : zombies_) total += s->cache->invalidations();
+  for (const auto& w : AllWorkers()) total += w->cache->invalidations();
   return total;
 }
 
 int64_t ServingEngine::queue_peak_depth() const {
-  std::lock_guard<std::mutex> lock(shards_mu_);
   int64_t peak = 0;
-  for (const auto& s : shards_) peak = std::max(peak, s->queue->peak_depth());
-  for (const auto& s : zombies_) {
-    peak = std::max(peak, s->queue->peak_depth());
+  for (const auto& w : AllWorkers()) {
+    peak = std::max(peak, w->queue->peak_depth());
   }
   return peak;
 }
 
-void ServingEngine::FailRequest(Request* request, const Status& status,
-                                int shard_index) {
+void ServingEngine::FailRequest(Request* request, const Status& status) {
   switch (request->kind) {
     case Request::Kind::kEmbed:
       request->embed_result.set_value(status);
       break;
     case Request::Kind::kScoreLinks:
       request->score_result.set_value(status);
-      break;
-    case Request::Kind::kAdvance:
-      // Barriers carry no promise; tell the coordinator this shard will
-      // not arrive (it catches up from the journal after restart).
-      if (request->advance != nullptr) {
-        request->advance->MarkAbsent(shard_index);
-      }
       break;
   }
 }
@@ -538,17 +429,21 @@ Status ServingEngine::Submit(std::unique_ptr<Request> request,
       deadline_us > 0 ? deadline_us : options_.default_deadline_us;
   if (budget > 0) request->deadline_us = now + budget;
 
-  const int index = router_.RouteRequest(*request);
-  std::shared_ptr<Shard> target = shard(index);
+  // Cache affinity: a node's queries always land on the same worker.
+  // Multi-node requests are not split, so each response is one tensor
+  // computed at one memory version.
+  const int index =
+      static_cast<int>(request->nodes[0] % options_.num_shards);
+  std::shared_ptr<Worker> target = worker(index);
   std::vector<std::unique_ptr<Request>> shed;
   const PushOutcome outcome = target->queue->Push(request, &shed);
   const Status shed_status = Status::ResourceExhausted(
-      "request shed under overload (shed-oldest policy, shard " +
+      "request shed under overload (shed-oldest policy, worker " +
       std::to_string(index) + ")");
   for (std::unique_ptr<Request>& victim : shed) {
     shed_.fetch_add(1);
     ShedCounter().Add();
-    FailRequest(victim.get(), shed_status, index);
+    FailRequest(victim.get(), shed_status);
   }
   switch (outcome) {
     case PushOutcome::kAccepted:
@@ -558,14 +453,14 @@ Status ServingEngine::Submit(std::unique_ptr<Request> request,
       rejected_.fetch_add(1);
       RejectedCounter().Add();
       return Status::ResourceExhausted(
-          "serving queue full (shard " + std::to_string(index) + ", limit " +
+          "serving queue full (worker " + std::to_string(index) + ", limit " +
           std::to_string(options_.queue_limit) + ", policy " +
           OverloadPolicyName(options_.overload) + ")");
     case PushOutcome::kShutdown:
       if (shutdown_.load()) {
         return Status::FailedPrecondition("serving engine is shut down");
       }
-      return Status::Unavailable("shard " + std::to_string(index) +
+      return Status::Unavailable("worker " + std::to_string(index) +
                                  " is restarting; retry");
   }
   return Status::Internal("unreachable push outcome");
@@ -608,7 +503,7 @@ Result<ScoreResponse> ServingEngine::ScoreLinksFull(
     int64_t deadline_us) {
   static obs::Counter& requests =
       obs::MetricsRegistry::Global().counter("serve.requests.score_links");
-  if (predictor_hidden_ <= 0) {
+  if (predictor_ == nullptr) {
     return Status::FailedPrecondition(
         "engine was built without a link predictor (predictor_hidden == 0)");
   }
@@ -660,98 +555,44 @@ Status ServingEngine::Advance(std::vector<graph::Event> events) {
   requests.Add();
   CPDG_TRACE_SPAN("serve/advance");
 
-  // One coordinator at a time; concurrent advances queue here, preserving
-  // a total order that the journal records.
+  // One advance at a time; concurrent advances queue here, preserving a
+  // total order that the journal records.
   std::lock_guard<std::mutex> advance_lock(advance_mu_);
-  auto shared_events =
-      std::make_shared<const std::vector<graph::Event>>(std::move(events));
+  auto next = std::make_shared<dgnn::Memory>(*memory_snapshot());
+  {
+    // fp32 regardless of precision: the published memory is the recovery
+    // source of truth (DESIGN.md §14).
+    ts::InferenceModeGuard guard;
+    encoder_->ReplayEvents(next.get(), events, kAdvanceReplayBatch);
+  }
   if (!options_.journal_dir.empty()) {
-    // Durable-first: once this entry is committed, a process restarted
-    // from the same checkpoint + journal dir replays the advance even if
-    // we crash before any replica does. An IO failure fails the whole
-    // advance before any replica (or the in-memory journal) saw it, so
-    // disk and fleet cannot disagree.
+    // Durable before visible: once published, a process restarted from
+    // the same checkpoint + journal dir replays this advance. An IO
+    // failure discards the copy, so disk and served memory agree.
     CPDG_RETURN_NOT_OK(AppendJournalEntry(options_.journal_dir,
                                           journal_next_seq_,
-                                          config_.num_nodes, *shared_events));
+                                          config_.num_nodes, events));
     ++journal_next_seq_;
   }
-  std::vector<std::shared_ptr<Shard>> snapshot;
   {
-    // Journal-first, atomically with the shard-list snapshot: any replica
-    // rebuilt from now on replays this advance from the journal, and
-    // exactly the snapshot shards get it as a barrier.
-    std::lock_guard<std::mutex> lock(shards_mu_);
-    journal_.push_back(shared_events);
-    snapshot = shards_;
+    // Version and snapshot move together: whoever has taken the new
+    // snapshot also reads the new memory_version().
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    serve_version_.store(next->version());
+    snapshot_ = std::move(next);
   }
-
-  auto op =
-      std::make_shared<AdvanceOp>(router_.num_shards(), shared_events);
-  const int64_t now = NowMicros();
-  for (int i = 0; i < router_.num_shards(); ++i) {
-    auto barrier = std::make_unique<Request>();
-    barrier->kind = Request::Kind::kAdvance;
-    barrier->advance = op;
-    barrier->enqueue_us = now;
-    if (snapshot[static_cast<size_t>(i)]->queue->PushControl(barrier) !=
-        PushOutcome::kAccepted) {
-      // Restarting or shutting down; its replacement replays the journal.
-      op->MarkAbsent(i);
-    }
-  }
-
-  op->AwaitQuiesced(std::chrono::milliseconds(options_.quiesce_timeout_ms));
-  op->StartReplay();
-  // Replay budget is far looser than quiesce: it scales with the event
-  // stream, not with executor batch latency.
-  op->AwaitReplayed(
-      std::chrono::milliseconds(options_.quiesce_timeout_ms * 10));
-  const std::vector<AdvanceOp::ShardResult> results = op->results();
-  op->Release();
-
-  uint64_t version = 0;
-  int successes = 0;
-  bool mismatch = false;
-  for (size_t i = 0; i < results.size(); ++i) {
-    const AdvanceOp::ShardResult& r = results[i];
-    const bool healthy = r.arrived && r.replayed && r.success;
-    const bool absent = !r.arrived && !r.error.empty();
-    if (healthy) {
-      if (successes > 0 && r.memory_version != version) mismatch = true;
-      version = r.memory_version;
-      ++successes;
-    } else if (!absent) {
-      // Wedged before the barrier, timed out mid-replay, or failed the
-      // replay: this replica is behind the fleet. The watchdog rebuilds
-      // it from checkpoint + journal (which contains this advance).
-      snapshot[i]->failed.store(true);
-    }
-  }
-  if (mismatch) {
-    // Deterministic replay makes this unreachable short of memory
-    // corruption; recover by rebuilding every replica from the journal.
-    for (const auto& shard : snapshot) shard->failed.store(true);
-    return Status::Internal(
-        "shard replicas diverged after advance replay; rebuilding fleet");
-  }
-  if (successes == 0) {
-    return Status::Unavailable(
-        "no live shard replayed the advance; journaled for recovery");
-  }
-  serve_version_.store(version);
-  advanced.Add(static_cast<int64_t>(shared_events->size()));
+  advanced.Add(static_cast<int64_t>(events.size()));
   return Status::OK();
 }
 
-void ServingEngine::ExecutorLoop(std::shared_ptr<Shard> shard) {
+void ServingEngine::ExecutorLoop(std::shared_ptr<Worker> worker) {
   const auto max_wait = std::chrono::microseconds(options_.max_wait_micros);
   while (true) {
     std::vector<std::unique_ptr<Request>> batch =
-        shard->queue->PopBatch(options_.max_batch, max_wait);
+        worker->queue->PopBatch(options_.max_batch, max_wait);
     if (batch.empty()) return;  // shut down and drained
-    shard->heartbeat.fetch_add(1);
-    shard->inflight.store(static_cast<int64_t>(batch.size()));
+    worker->heartbeat.fetch_add(1);
+    worker->inflight.store(static_cast<int64_t>(batch.size()));
     const int64_t stall =
         util::FaultInjector::Instance().ConsumeServeStallMillis();
     if (stall > 0) {
@@ -759,57 +600,13 @@ void ServingEngine::ExecutorLoop(std::shared_ptr<Shard> shard) {
       // is exactly the signature the watchdog restarts on.
       std::this_thread::sleep_for(std::chrono::milliseconds(stall));
     }
-    if (batch.front()->kind == Request::Kind::kAdvance) {
-      CPDG_CHECK_EQ(batch.size(), 1u);  // queue pops advances alone
-      ExecuteBarrier(shard.get(), std::move(batch.front()));
-    } else {
-      ExecuteBatch(shard.get(), std::move(batch));
-    }
-    shard->inflight.store(0);
-    shard->heartbeat.fetch_add(1);
-    if (shard->failed.load()) {
-      // Abandoned barrier or failed replay: this replica is behind the
-      // fleet and must not serve. The watchdog drains the queue (failing
-      // the waiters) and swaps in a rebuilt replica.
-      return;
-    }
+    ExecuteBatch(worker.get(), std::move(batch));
+    worker->inflight.store(0);
+    worker->heartbeat.fetch_add(1);
   }
 }
 
-void ServingEngine::ExecuteBarrier(Shard* shard,
-                                   std::unique_ptr<Request> request) {
-  CPDG_TRACE_SPAN("serve/advance_barrier");
-  std::shared_ptr<AdvanceOp> op = request->advance;
-  CPDG_CHECK(op != nullptr);
-  const AdvanceOp::ExecutorSignal signal =
-      op->Arrive(shard->index, &shard->heartbeat);
-  if (signal == AdvanceOp::ExecutorSignal::kAbandoned) {
-    shard->failed.store(true);
-    return;
-  }
-  if (util::FaultInjector::Instance().ConsumeServeReplayFail()) {
-    shard->failed.store(true);
-    op->FinishReplay(shard->index, /*success=*/false,
-                     shard->encoder->memory().version(),
-                     "injected replay failure (CPDG_FAULT_SERVE_REPLAY_FAIL)",
-                     &shard->heartbeat);
-    return;
-  }
-  {
-    ts::InferenceModeGuard guard;
-    shard->encoder->ReplayEvents(op->events(), kAdvanceReplayBatch);
-  }
-  if (!options_.keep_stale_entries) {
-    shard->cache->InvalidateAll();
-  }
-  // else: the previous generation stays for deadline-pressed stale
-  // serving; fresh inserts overwrite rows in place.
-  op->FinishReplay(shard->index, /*success=*/true,
-                   shard->encoder->memory().version(), "",
-                   &shard->heartbeat);
-}
-
-bool ServingEngine::TryServeStale(Shard* shard, Request* request,
+bool ServingEngine::TryServeStale(Worker* worker, Request* request,
                                   uint64_t current_version) {
   const int64_t dim = config_.embed_dim;
   bool any_stale = false;
@@ -819,7 +616,7 @@ bool ServingEngine::TryServeStale(Shard* shard, Request* request,
     for (graph::NodeId v : nodes) {
       std::vector<float> row;
       uint64_t row_version = 0;
-      if (!shard->cache->LookupAnyVersion(v, request->time, &row,
+      if (!worker->cache->LookupAnyVersion(v, request->time, &row,
                                           &row_version)) {
         return false;
       }
@@ -856,8 +653,8 @@ bool ServingEngine::TryServeStale(Shard* shard, Request* request,
   }
   CPDG_CHECK(request->kind == Request::Kind::kScoreLinks);
   ts::InferenceModeGuard guard;
-  ts::QuantModeGuard qguard(&shard->quant_params);
-  ts::Tensor logits = shard->predictor->ForwardLogits(
+  ts::QuantModeGuard qguard(&quant_params_);
+  ts::Tensor logits = predictor_->ForwardLogits(
       ts::Tensor::FromVector(static_cast<int64_t>(request->nodes.size()),
                              dim, std::move(src_data)),
       ts::Tensor::FromVector(static_cast<int64_t>(request->dsts.size()),
@@ -877,13 +674,22 @@ bool ServingEngine::TryServeStale(Shard* shard, Request* request,
   return true;
 }
 
-void ServingEngine::ExecuteBatch(Shard* shard,
-                                 std::vector<std::unique_ptr<Request>> batch) {
+void ServingEngine::ExecuteBatch(
+    Worker* worker, std::vector<std::unique_ptr<Request>> batch) {
   CPDG_TRACE_SPAN("serve/execute_batch");
-  QueueDepthGauge().Set(static_cast<double>(shard->queue->depth()));
+  QueueDepthGauge().Set(static_cast<double>(worker->queue->depth()));
   BatchRequestsHistogram().Observe(static_cast<double>(batch.size()));
 
-  const uint64_t version = shard->encoder->memory().version();
+  // One snapshot for the whole batch: every answer in it is computed at,
+  // and stamped with, this version even if an Advance publishes mid-batch.
+  const std::shared_ptr<const dgnn::Memory> memory = memory_snapshot();
+  const uint64_t version = memory->version();
+  if (version != worker->cache_version) {
+    // With keep_stale_entries the previous generation stays for
+    // deadline-pressed stale serving; fresh inserts overwrite it in place.
+    if (!options_.keep_stale_entries) worker->cache->InvalidateAll();
+    worker->cache_version = version;
+  }
   const int64_t dim = config_.embed_dim;
   const int64_t admission_now = NowMicros();
 
@@ -905,14 +711,13 @@ void ServingEngine::ExecuteBatch(Shard* shard,
                 std::to_string(request->deadline_us - request->enqueue_us) +
                 " us, waited " +
                 std::to_string(admission_now - request->enqueue_us) +
-                " us)"),
-            shard->index);
-        shard->heartbeat.fetch_add(1);
+                " us)"));
+        worker->heartbeat.fetch_add(1);
         break;
       }
       case AdmissionDecision::kTryStale:
-        if (TryServeStale(shard, request.get(), version)) {
-          shard->heartbeat.fetch_add(1);
+        if (TryServeStale(worker, request.get(), version)) {
+          worker->heartbeat.fetch_add(1);
           break;
         }
         live.push_back(std::move(request));
@@ -933,7 +738,7 @@ void ServingEngine::ExecuteBatch(Shard* shard,
     auto collect = [&](graph::NodeId node) {
       auto [it, inserted] = rows.try_emplace({node, request->time});
       if (!inserted) return;  // already resolved or queued for compute
-      if (!shard->cache->Lookup({node, request->time, version},
+      if (!worker->cache->Lookup({node, request->time, version},
                                 &it->second)) {
         miss_nodes.push_back(node);
         miss_times.push_back(request->time);
@@ -948,18 +753,20 @@ void ServingEngine::ExecuteBatch(Shard* shard,
     CPDG_TRACE_SPAN("serve/forward");
     ts::InferenceModeGuard guard;
     // Query-time forwards may run int8 (the set is empty — inert — at
-    // fp32); advance replay in ExecuteBarrier deliberately does not, so
-    // persistent memory state is precision-independent.
-    ts::QuantModeGuard qguard(&shard->quant_params);
-    // Read-only protocol: flush into the per-batch cache, never commit, so
-    // memory (and its version) stay untouched.
-    shard->encoder->BeginBatch();
-    ts::Tensor z = shard->encoder->ComputeEmbeddings(miss_nodes, miss_times);
+    // fp32); advance replay deliberately does not, so persistent memory
+    // state is precision-independent.
+    ts::QuantModeGuard qguard(&quant_params_);
+    // Read-only protocol: flush into this worker's scratch, never commit,
+    // so the shared snapshot stays untouched.
+    worker->scratch.Clear();
+    ts::Tensor z = encoder_->ComputeEmbeddings(*memory, &worker->scratch,
+                                               miss_nodes, miss_times);
     CPDG_CHECK_EQ(z.cols(), dim);
     for (size_t i = 0; i < miss_nodes.size(); ++i) {
       const float* row = z.data() + static_cast<int64_t>(i) * dim;
       std::vector<float> values(row, row + dim);
-      shard->cache->Insert({miss_nodes[i], miss_times[i], version}, values);
+      worker->cache->Insert({miss_nodes[i], miss_times[i], version},
+                            values);
       rows[{miss_nodes[i], miss_times[i]}] = std::move(values);
     }
   }
@@ -993,8 +800,8 @@ void ServingEngine::ExecuteBatch(Shard* shard,
     } else {
       CPDG_TRACE_SPAN("serve/score");
       ts::InferenceModeGuard guard;
-      ts::QuantModeGuard qguard(&shard->quant_params);
-      ts::Tensor logits = shard->predictor->ForwardLogits(
+      ts::QuantModeGuard qguard(&quant_params_);
+      ts::Tensor logits = predictor_->ForwardLogits(
           gather(request->nodes, request->time),
           gather(request->dsts, request->time));
       ts::Tensor probs = ts::Sigmoid(logits);
@@ -1009,7 +816,7 @@ void ServingEngine::ExecuteBatch(Shard* shard,
       request->score_result.set_value(std::move(response));
     }
     LatencyHistogram().Observe(static_cast<double>(latency) * 1e-6);
-    shard->heartbeat.fetch_add(1);
+    worker->heartbeat.fetch_add(1);
   }
 }
 

@@ -14,24 +14,22 @@
 #include "graph/graph_store.h"
 #include "serve/embedding_cache.h"
 #include "serve/request_queue.h"
-#include "serve/shard_router.h"
 #include "serve/watchdog.h"
 #include "tensor/quant.h"
 #include "tensor/tensor.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace cpdg::serve {
 
 /// Events replayed per CommitBatch during Advance and during journal
-/// catch-up of a restarted shard. Fixed (not an option) because replay
-/// results depend on the batching; a stable constant keeps every replica —
-/// including one rebuilt from checkpoint + journal after a crash —
-/// bit-identical to the fleet and to single-shard serving.
+/// reload at start. Fixed (not an option) because replay results depend on
+/// the batching; a stable constant makes a process restarted from
+/// checkpoint + journal bit-identical to the one that journaled the
+/// advances.
 inline constexpr int64_t kAdvanceReplayBatch = 128;
 
 /// \brief Numeric precision of query-time forwards (embed / score-links).
-/// Advance replay and journal catch-up always run fp32 regardless, so the
+/// Advance replay and journal reload always run fp32 regardless, so the
 /// persistent memory state — the recovery source of truth — is identical
 /// at every precision (DESIGN.md §14).
 enum class ServePrecision {
@@ -54,14 +52,15 @@ struct ServingOptions {
   /// a batch is being held). Raise it only for open-loop clients that keep
   /// submitting without waiting.
   int64_t max_wait_micros = 0;
-  /// Embedding-cache rows per shard; 0 disables caching.
+  /// Embedding-cache rows per executor worker; 0 disables caching.
   int64_t cache_capacity = 4096;
 
-  /// Executor shards (full frozen-state replicas, requests routed by node
-  /// affinity). CPDG_SERVE_SHARDS.
+  /// Executor workers, all reading the one shared frozen snapshot;
+  /// requests are routed to worker nodes[0] % N for cache affinity.
+  /// CPDG_SERVE_SHARDS.
   int num_shards = 1;
-  /// Per-shard queued-request bound; 0 = unbounded (no admission control).
-  /// CPDG_SERVE_QUEUE_LIMIT.
+  /// Per-worker queued-request bound; 0 = unbounded (no admission
+  /// control). CPDG_SERVE_QUEUE_LIMIT.
   int64_t queue_limit = 0;
   /// What a full queue does with new requests. CPDG_SERVE_OVERLOAD
   /// (reject | shed-oldest | block).
@@ -75,15 +74,11 @@ struct ServingOptions {
   /// otherwise the cache is invalidated eagerly on advance.
   bool keep_stale_entries = false;
 
-  /// Shard-health sampling period of the watchdog.
+  /// Worker-health sampling period of the watchdog.
   int64_t watchdog_interval_ms = 100;
   /// Samples without executor progress (while work is queued) before a
-  /// shard is declared wedged and restarted.
+  /// worker is declared wedged and restarted.
   int watchdog_max_missed = 20;
-  /// How long an Advance waits for all shards to park at the barrier
-  /// before abandoning the stragglers (they are restarted from checkpoint
-  /// + journal by the watchdog).
-  int64_t quiesce_timeout_ms = 2000;
 
   /// Numeric precision of query-time forwards. CPDG_SERVE_PRECISION
   /// (fp32 | int8). Advance replay always runs fp32 (ServePrecision
@@ -92,9 +87,10 @@ struct ServingOptions {
   ServePrecision precision = ServePrecision::kFp32;
 
   /// Directory of the on-disk advance journal (serve/journal.h); empty
-  /// disables persistence. When set, FromCheckpoint reloads any journaled
-  /// advances before building shards, and every Advance appends its entry
-  /// durably before any replica replays it. CPDG_SERVE_JOURNAL_DIR.
+  /// disables persistence. When set, FromCheckpoint replays any journaled
+  /// advances onto the checkpoint's memory before serving, and every
+  /// Advance appends its entry durably before publishing the new snapshot.
+  /// CPDG_SERVE_JOURNAL_DIR.
   std::string journal_dir;
 
   /// Defaults overridden by CPDG_SERVE_MAX_BATCH, CPDG_SERVE_MAX_WAIT_MICROS,
@@ -119,38 +115,35 @@ enum class AdmissionDecision {
 AdmissionDecision DecideAdmission(int64_t now_us, int64_t enqueue_us,
                                   int64_t deadline_us);
 
-/// \brief Frozen-encoder embedding server with shard-replicated executors,
-/// bounded request queues, deadline admission, and watchdog-supervised
-/// crash recovery.
+/// \brief Frozen-encoder embedding server: one immutable snapshot read by
+/// N executor workers, bounded request queues, deadline admission, and
+/// watchdog-supervised worker restart.
 ///
 /// Loads a CPDGCKPT v2 checkpoint (the "params" tensor list, plus the
-/// "memory" DGNN state snapshot when present), freezes the encoder, and
-/// answers embedding and link-scoring queries behind per-shard thread-safe
-/// request queues. Each of the `num_shards` executor threads owns a full
-/// replica of the frozen encoder state; requests are routed to shards by
-/// node-id affinity (ShardRouter), which keeps each shard's embedding
-/// cache hot for its node range. Replicas — not partitions — because a
-/// node's embedding reads its sampled neighbors' memory rows, which
-/// land on other shards under any partition (DESIGN.md §12).
+/// "memory" DGNN state snapshot when present) once into one frozen
+/// encoder, predictor and int8 weight set, and answers embedding and
+/// link-scoring queries behind per-worker thread-safe request queues.
+/// Requests are routed to worker `nodes[0] % num_shards`, which keeps each
+/// worker's embedding cache hot for its node range. The DGNN memory is
+/// held as one `shared_ptr<const dgnn::Memory>` snapshot: every worker
+/// runs the encoder's const, reentrant forward against it with its own
+/// dgnn::ForwardScratch (DESIGN.md §12).
 ///
 /// Determinism: forwards run under tensor::InferenceModeGuard on the
 /// read-only encoder protocol (dgnn::DgnnEncoder class comment), whose
-/// output rows depend only on their own (node, time) query. Non-stale
-/// results are therefore bit-identical to a direct encoder forward
-/// regardless of shard count, coalescing, racing clients, or cache
-/// warmth — and a shard restarted from checkpoint + journal converges to
-/// the same bits.
+/// output rows depend only on their own (node, time) query. A worker takes
+/// the snapshot once per popped batch and stamps every response with that
+/// snapshot's version, so non-stale results are bit-identical to a direct
+/// encoder forward at the reported version regardless of worker count,
+/// coalescing, racing clients, racing advances, or cache warmth.
 ///
-/// Advance(events) is a fleet-wide two-phase barrier (AdvanceOp): the
-/// events are journaled first, every shard executor quiesces, each replica
-/// replays the full stream in kAdvanceReplayBatch chunks, and the shared
-/// serving version moves once the coordinator has verified all replicas
-/// converged on one memory version. Shards that miss the barrier or fail
-/// replay are marked failed and rebuilt by the watchdog from the
-/// checkpoint plus the journal — which already contains the advance they
-/// missed.
+/// Advance(events) copies the current memory, replays the events once
+/// (fp32, kAdvanceReplayBatch chunks), appends the journal entry durably
+/// when a journal directory is set, and only then publishes the copy as
+/// the new snapshot (read-copy-update). Readers never wait for it; a batch
+/// that started on the old snapshot finishes on it.
 ///
-/// Overload behavior: with queue_limit > 0, a full shard queue rejects,
+/// Overload behavior: with queue_limit > 0, a full worker queue rejects,
 /// sheds-oldest, or blocks per OverloadPolicy; rejected and shed requests
 /// fail with kResourceExhausted. With a deadline, an expired request fails
 /// with kDeadlineExceeded (it is never computed), and a nearly-expired one
@@ -167,14 +160,14 @@ class ServingEngine {
   /// \brief Builds an engine for `config` (plus a LinkPredictor with
   /// `predictor_hidden` hidden units when > 0) and restores parameters —
   /// and memory, when the checkpoint carries a "memory" section — from
-  /// `checkpoint_path`, once per shard replica.
+  /// `checkpoint_path`.
   ///
   /// The checkpoint's tensor list must match the constructed modules
   /// exactly (count and shapes, encoder parameters first, predictor
   /// appended — the layout the pre-trainer writes); any mismatch or
   /// corruption fails with a recoverable Status, never a partially
   /// initialized engine. `graph` provides the temporal neighborhoods and
-  /// must outlive the engine. The path is retained for watchdog restarts.
+  /// must outlive the engine.
   static Result<std::unique_ptr<ServingEngine>> FromCheckpoint(
       const dgnn::EncoderConfig& config, int64_t predictor_hidden,
       const graph::GraphStore* graph, const std::string& checkpoint_path,
@@ -198,7 +191,7 @@ class ServingEngine {
 
   /// \brief Non-blocking submission for open-loop clients (the load
   /// generator): returns the future immediately, admission errors as a
-  /// failed Result. The future resolves when a shard executor answers.
+  /// failed Result. The future resolves when an executor worker answers.
   Result<std::future<Result<EmbedResponse>>> EmbedAsync(
       const std::vector<graph::NodeId>& nodes, double time,
       int64_t deadline_us = 0);
@@ -215,11 +208,11 @@ class ServingEngine {
                                        const std::vector<graph::NodeId>& dsts,
                                        double time, int64_t deadline_us = 0);
 
-  /// \brief Replays `events` (chronological) into every shard replica's
-  /// frozen memory through the two-phase barrier described in the class
-  /// comment. Returns OK when at least one replica applied the advance
-  /// (stragglers are journaled-in by the watchdog); kUnavailable when no
-  /// live replica could.
+  /// \brief Replays `events` (chronological) onto a copy of the current
+  /// memory snapshot, journals them (when journal_dir is set) and
+  /// publishes the copy; see the class comment. Concurrent advances are
+  /// serialized. On a journal IO failure the copy is discarded and the
+  /// error returned, so the served memory matches the journal on disk.
   Status Advance(std::vector<graph::Event> events);
 
   /// Stops the watchdog, stops accepting requests, drains the queues,
@@ -227,24 +220,22 @@ class ServingEngine {
   /// the destructor calls it.
   void Shutdown();
 
-  /// Fleet serving version: the dgnn::Memory::version() all live replicas
-  /// agreed on at the last successful advance (or load).
+  /// dgnn::Memory::version() of the published snapshot.
   uint64_t memory_version() const { return serve_version_.load(); }
 
-  /// Shard 0's encoder (all replicas are bit-identical); stable for the
-  /// engine's lifetime — restarted-out replicas are retired, not freed,
-  /// until Shutdown.
-  const dgnn::DgnnEncoder& encoder() const;
+  /// The currently published memory snapshot (immutable; a later Advance
+  /// publishes a new one rather than mutating it).
+  std::shared_ptr<const dgnn::Memory> memory_snapshot() const;
 
-  bool has_predictor() const { return predictor_hidden_ > 0; }
+  /// The frozen encoder every worker reads. Its own memory() is a
+  /// one-node placeholder: served state lives in memory_snapshot().
+  const dgnn::DgnnEncoder& encoder() const { return *encoder_; }
+
+  bool has_predictor() const { return predictor_ != nullptr; }
   const ServingOptions& options() const { return options_; }
-  int num_shards() const { return router_.num_shards(); }
+  int num_shards() const { return options_.num_shards; }
 
-  /// Per-shard dgnn::Memory::version() snapshot (test hook for barrier
-  /// consistency: all entries equal after a successful Advance).
-  std::vector<uint64_t> ShardMemoryVersions() const;
-
-  /// Cache traffic totals summed over all replicas, including retired
+  /// Cache traffic totals summed over all workers, including retired
   /// ones (test hooks; mirrored in serve.cache.* metrics).
   int64_t cache_hits() const;
   int64_t cache_misses() const;
@@ -258,99 +249,91 @@ class ServingEngine {
     return deadline_exceeded_.load();
   }
   int64_t stale_served_count() const { return stale_served_.load(); }
-  /// Requests failed kUnavailable when a failed shard's queue was drained.
+  /// Requests failed kUnavailable when a wedged worker's queue was drained.
   int64_t drained_count() const { return drained_.load(); }
   int64_t watchdog_restarts() const {
     return watchdog_ != nullptr ? watchdog_->restarts() : 0;
   }
-  /// Restart attempts that could not reload the checkpoint (left for
-  /// retry on the next watchdog tick).
-  int64_t reload_failures() const { return reload_failures_.load(); }
-  /// Highest queue depth observed on any shard (bounded-queue evidence).
+  /// Highest queue depth observed on any worker (bounded-queue evidence).
   int64_t queue_peak_depth() const;
 
  private:
-  /// One executor replica: full frozen encoder state, its own queue,
-  /// cache, thread, and health flags.
-  struct Shard {
-    int index = 0;
-    // Parameters are overwritten by the checkpoint restore; the seed only
-    // determines the (discarded) construction-time initialization.
-    Rng rng{0x5e17f0u};
-    std::unique_ptr<dgnn::DgnnEncoder> encoder;
-    std::unique_ptr<dgnn::LinkPredictor> predictor;
+  /// One executor worker: its own queue, cache, flush scratch, thread and
+  /// health counters; the frozen state is the engine's.
+  struct Worker {
     std::unique_ptr<RequestQueue> queue;
     std::unique_ptr<EmbeddingCache> cache;
-    /// int8 copies of the frozen weight matrices, quantized once at build
-    /// time; empty unless options_.precision == kInt8. Activated per
-    /// query-time forward with tensor::QuantModeGuard — never during
-    /// replay, so memory state stays precision-independent.
-    tensor::QuantizedParamSet quant_params;
+    /// Executor-thread only: forward flush cache, and the snapshot version
+    /// the cache last saw (a new one invalidates it).
+    dgnn::ForwardScratch scratch;
+    uint64_t cache_version = 0;
     std::thread executor;
 
-    /// Bumped on every pop, every fulfilled request, and every barrier
-    /// wait tick; the watchdog's liveness signal.
+    /// Bumped on every pop and every answered request; the watchdog's
+    /// liveness signal.
     std::atomic<int64_t> heartbeat{0};
     /// Requests popped but not yet answered (watchdog has-work probe).
     std::atomic<int64_t> inflight{0};
-    /// Self-declared unhealthy (failed replay, abandoned barrier, failed
-    /// reload); the watchdog rebuilds the shard on its next tick.
-    std::atomic<bool> failed{false};
   };
 
-  ServingEngine(const dgnn::EncoderConfig& config, int64_t predictor_hidden,
-                const graph::GraphStore* graph, std::string checkpoint_path,
-                const ServingOptions& options);
+  ServingEngine(const dgnn::EncoderConfig& config,
+                const graph::GraphStore* graph, const ServingOptions& options);
 
-  /// Loads the checkpoint into a fresh replica and replays the advance
-  /// journal prefix; `*journal_applied` reports how many entries were
-  /// replayed (for the restart catch-up loop). Does not start the thread.
-  Result<std::shared_ptr<Shard>> BuildShard(int index,
-                                            size_t* journal_applied);
-  void StartShard(const std::shared_ptr<Shard>& shard);
+  /// Restores the frozen model and the memory snapshot from the checkpoint
+  /// (plus the journal, when set) and quantizes the weights.
+  Status Load(const std::string& checkpoint_path, int64_t predictor_hidden);
+  /// A fresh worker over the current snapshot; its thread is started.
+  std::shared_ptr<Worker> StartWorker();
   void StartWatchdog();
-  /// Watchdog restart callback: drain, rebuild from checkpoint + journal,
-  /// swap. Returns false (shard left failed, retried next tick) when the
-  /// checkpoint reload fails.
-  bool RestartShard(int index);
+  /// Watchdog restart callback: fence and drain the wedged worker, start
+  /// a fresh one in its slot, retire the old thread to zombies_.
+  void RestartWorker(int index);
 
-  void ExecutorLoop(std::shared_ptr<Shard> shard);
-  void ExecuteBatch(Shard* shard, std::vector<std::unique_ptr<Request>> batch);
-  void ExecuteBarrier(Shard* shard, std::unique_ptr<Request> request);
+  void ExecutorLoop(std::shared_ptr<Worker> worker);
+  void ExecuteBatch(Worker* worker,
+                    std::vector<std::unique_ptr<Request>> batch);
   /// Graceful degradation: answer from the cache at *any* memory version
   /// (flagging stale rows) when the deadline budget is nearly spent.
   /// Returns false when a row is missing — the request falls back to the
   /// compute path.
-  bool TryServeStale(Shard* shard, Request* request,
+  bool TryServeStale(Worker* worker, Request* request,
                      uint64_t current_version);
 
   /// Stamps enqueue/deadline, routes, and pushes under admission control;
   /// on error the request's promise is untouched (the caller returns the
   /// Status instead of waiting on the future).
   Status Submit(std::unique_ptr<Request> request, int64_t deadline_us);
-  /// Fails a request's promise with `status` (advance barriers are marked
-  /// absent on their op instead).
-  void FailRequest(Request* request, const Status& status, int shard_index);
+  /// Fails a request's promise with `status`.
+  static void FailRequest(Request* request, const Status& status);
 
-  std::shared_ptr<Shard> shard(int index) const;
+  std::shared_ptr<Worker> worker(int index) const;
+  /// Every worker, live and retired (for stats and shutdown).
+  std::vector<std::shared_ptr<Worker>> AllWorkers() const;
 
   ServingOptions options_;
   const dgnn::EncoderConfig config_;
-  const int64_t predictor_hidden_;
   const graph::GraphStore* graph_;
-  const std::string checkpoint_path_;
-  ShardRouter router_;
 
-  mutable std::mutex shards_mu_;
-  std::vector<std::shared_ptr<Shard>> shards_;
-  /// Replicas swapped out by restarts; threads joined at Shutdown (their
+  // Frozen model, built once by Load.
+  std::unique_ptr<dgnn::DgnnEncoder> encoder_;
+  std::unique_ptr<dgnn::LinkPredictor> predictor_;
+  /// int8 copies of the frozen weight matrices, quantized once at load;
+  /// empty unless options_.precision == kInt8. Activated per query-time
+  /// forward with tensor::QuantModeGuard — never during replay, so memory
+  /// state stays precision-independent.
+  tensor::QuantizedParamSet quant_params_;
+
+  /// The published memory; swapped whole under snapshot_mu_ by Advance.
+  mutable std::mutex snapshot_mu_;
+  std::shared_ptr<const dgnn::Memory> snapshot_;
+
+  mutable std::mutex workers_mu_;
+  std::vector<std::shared_ptr<Worker>> workers_;
+  /// Workers swapped out by restarts; threads joined at Shutdown (their
   /// in-flight batches are allowed to finish).
-  std::vector<std::shared_ptr<Shard>> zombies_;
-  /// Every successful-validation Advance, in order, journaled *before* the
-  /// barrier — the recovery source of truth for rebuilt shards.
-  std::vector<std::shared_ptr<const std::vector<graph::Event>>> journal_;
+  std::vector<std::shared_ptr<Worker>> zombies_;
 
-  /// Serializes Advance coordinators.
+  /// Serializes Advance.
   std::mutex advance_mu_;
   /// Sequence number of the next on-disk journal entry (mutated only under
   /// advance_mu_); starts past the entries FromCheckpoint reloaded.
@@ -365,7 +348,6 @@ class ServingEngine {
   std::atomic<int64_t> deadline_exceeded_{0};
   std::atomic<int64_t> stale_served_{0};
   std::atomic<int64_t> drained_{0};
-  std::atomic<int64_t> reload_failures_{0};
 };
 
 }  // namespace cpdg::serve

@@ -9,7 +9,7 @@
 namespace cpdg::serve {
 
 Watchdog::Watchdog(Options options, std::vector<Target> targets,
-                   std::function<bool(int)> restart)
+                   std::function<void(int)> restart)
     : options_(options),
       targets_(std::move(targets)),
       restart_(std::move(restart)),
@@ -50,44 +50,26 @@ void Watchdog::Loop() {
 void Watchdog::Tick() {
   for (size_t i = 0; i < targets_.size(); ++i) {
     const Target& target = targets_[i];
-    bool wedged = false;
-    if (target.failed()) {
-      // Self-declared failure (replay error, abandoned barrier, prior
-      // restart that could not reload the checkpoint): restart now.
-      wedged = true;
-    } else {
-      const int64_t beat = target.heartbeat();
-      if (beat != last_heartbeat_[i]) {
-        last_heartbeat_[i] = beat;
-        missed_[i] = 0;
-      } else if (target.has_work()) {
-        // No progress while requests are queued: count a miss. An idle
-        // executor (empty queue) never accrues misses.
-        if (++missed_[i] >= options_.max_missed) {
-          wedged = true;
-        }
-      } else {
-        missed_[i] = 0;
-      }
-    }
-    if (!wedged) continue;
-    std::fprintf(stderr, "cpdg-serve watchdog: shard %zu unhealthy (%s), restarting\n",
-                 i, target.failed() ? "failed" : "wedged");
-    if (restart_(static_cast<int>(i))) {
-      restarts_.fetch_add(1);
-      obs::MetricsRegistry::Global()
-          .counter("serve.watchdog.restarts")
-          .Add();
+    const int64_t beat = target.heartbeat();
+    if (beat != last_heartbeat_[i]) {
+      last_heartbeat_[i] = beat;
       missed_[i] = 0;
-      last_heartbeat_[i] = target.heartbeat();
-    } else {
-      failed_restarts_.fetch_add(1);
-      obs::MetricsRegistry::Global()
-          .counter("serve.watchdog.failed_restarts")
-          .Add();
-      // Leave missed_ saturated; retried next tick via the failed() probe
-      // (the engine keeps the shard marked failed until a rebuild lands).
+      continue;
     }
+    // No progress: count a miss only while requests are queued. An idle
+    // executor (empty queue) never accrues misses.
+    if (!target.has_work()) {
+      missed_[i] = 0;
+      continue;
+    }
+    if (++missed_[i] < options_.max_missed) continue;
+    std::fprintf(stderr,
+                 "cpdg-serve watchdog: worker %zu wedged, restarting\n", i);
+    restart_(static_cast<int>(i));
+    restarts_.fetch_add(1);
+    obs::MetricsRegistry::Global().counter("serve.watchdog.restarts").Add();
+    missed_[i] = 0;
+    last_heartbeat_[i] = target.heartbeat();
   }
 }
 

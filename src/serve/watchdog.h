@@ -12,47 +12,38 @@
 
 namespace cpdg::serve {
 
-/// \brief Shard health monitor: detects wedged or failed shard executors
-/// and asks the owning engine to restart them.
+/// \brief Worker health monitor: detects wedged executor workers and asks
+/// the owning engine to restart them.
 ///
-/// Liveness is heartbeat-based. Every shard executor increments its
-/// heartbeat counter whenever it makes progress (pops a batch, finishes a
-/// request, ticks a barrier wait). The watchdog samples the counters every
-/// `interval`; a shard whose counter has not moved for `max_missed`
-/// consecutive samples *while it has work queued* is declared wedged. The
-/// has-work condition is what separates "wedged" from "idle": an idle
-/// executor parked on an empty queue legitimately never ticks.
+/// Liveness is heartbeat-based. Every executor increments its heartbeat
+/// counter whenever it makes progress (pops a batch, finishes a request).
+/// The watchdog samples the counters every `interval`; a worker whose
+/// counter has not moved for `max_missed` consecutive samples *while it
+/// has work queued* is declared wedged. The has-work condition is what
+/// separates "wedged" from "idle": an idle executor parked on an empty
+/// queue legitimately never ticks.
 ///
-/// A shard can also declare itself failed (replay error, abandoned
-/// barrier) by setting its failed flag; the watchdog picks that up on the
-/// next sample without waiting for missed heartbeats.
-///
-/// The watchdog never restarts shards itself — it invokes the `restart`
-/// callback and trusts the engine to drain, rebuild, and swap the shard.
-/// If the restart fails (e.g. injected checkpoint corruption), the shard
-/// stays failed and is retried on the next tick.
+/// The watchdog never restarts workers itself — it invokes the `restart`
+/// callback and trusts the engine to drain and replace the worker.
 class Watchdog {
  public:
   struct Options {
     std::chrono::milliseconds interval{50};
-    /// Samples without progress (while work is queued) before a shard is
+    /// Samples without progress (while work is queued) before a worker is
     /// declared wedged.
     int max_missed = 5;
   };
 
-  /// \brief Health probes for one shard, all safe to call from the
+  /// \brief Health probes for one worker, all safe to call from the
   /// watchdog thread while the executor runs.
   struct Target {
     std::function<int64_t()> heartbeat;
     std::function<bool()> has_work;
-    std::function<bool()> failed;
   };
 
-  /// `restart(shard)` is called from the watchdog thread; it must return
-  /// true when the shard was successfully rebuilt (resets the miss
-  /// counter) and false to retry on the next tick.
+  /// `restart(worker)` is called from the watchdog thread.
   Watchdog(Options options, std::vector<Target> targets,
-           std::function<bool(int)> restart);
+           std::function<void(int)> restart);
   ~Watchdog();
 
   Watchdog(const Watchdog&) = delete;
@@ -60,13 +51,11 @@ class Watchdog {
 
   void Start();
   /// Stops the monitor thread; idempotent, called by the engine before it
-  /// tears shards down so a shutdown drain is never mistaken for a wedge.
+  /// tears workers down so a shutdown drain is never mistaken for a wedge.
   void Stop();
 
-  /// Total successful restarts triggered (test / metrics hook).
+  /// Total restarts triggered (test / metrics hook).
   int64_t restarts() const { return restarts_.load(); }
-  /// Total restart attempts that failed and were left for retry.
-  int64_t failed_restarts() const { return failed_restarts_.load(); }
 
  private:
   void Loop();
@@ -74,14 +63,13 @@ class Watchdog {
 
   const Options options_;
   const std::vector<Target> targets_;
-  const std::function<bool(int)> restart_;
+  const std::function<void(int)> restart_;
 
-  /// Last sampled heartbeat and consecutive no-progress count per shard.
+  /// Last sampled heartbeat and consecutive no-progress count per worker.
   std::vector<int64_t> last_heartbeat_;
   std::vector<int> missed_;
 
   std::atomic<int64_t> restarts_{0};
-  std::atomic<int64_t> failed_restarts_{0};
 
   std::mutex mu_;
   std::condition_variable cv_;

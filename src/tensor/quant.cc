@@ -135,11 +135,6 @@ QuantizedMatrix QuantizeRowsInt8(const float* src, int64_t rows,
     q.scales[static_cast<size_t>(r)] =
         QuantizeRowWide(src + r * cols, cols, q.wide.data() + r * cols);
   }
-  // Compact int8 form: every wide value is on [-127, 127] by construction.
-  q.values.resize(q.wide.size());
-  for (size_t i = 0; i < q.wide.size(); ++i) {
-    q.values[i] = static_cast<int8_t>(q.wide[i]);
-  }
   // AVX-VNNI pack + bias (quant.h layout). Plain byte shuffling — built on
   // every platform so the layout itself is portable and testable; only the
   // kernel that consumes it is ISA-gated.
@@ -149,11 +144,12 @@ QuantizedMatrix QuantizeRowsInt8(const float* src, int64_t rows,
   q.bias.resize(static_cast<size_t>(rows));
   for (int64_t r = 0; r < rows; ++r) {
     int32_t sum = 0;
-    const int8_t* vrow = q.values.data() + r * cols;
+    const int16_t* vrow = q.wide.data() + r * cols;
     int8_t* const blk = q.packed.data() + (r / 8) * q.kpad * 8 + (r % 8) * 4;
     for (int64_t c = 0; c < cols; ++c) {
       sum += vrow[c];
-      blk[(c / 4) * 32 + (c % 4)] = vrow[c];
+      // Every grid value is on [-127, 127] by construction.
+      blk[(c / 4) * 32 + (c % 4)] = static_cast<int8_t>(vrow[c]);
     }
     q.bias[static_cast<size_t>(r)] = 128 * sum;
   }
@@ -327,7 +323,7 @@ const QuantizedMatrix* QuantizedParamSet::Find(const float* data) const {
 int64_t QuantizedParamSet::quantized_bytes() const {
   int64_t total = 0;
   for (const auto& [ptr, q] : weights_) {
-    total += static_cast<int64_t>(q.values.size());
+    total += static_cast<int64_t>(q.wide.size());
   }
   return total;
 }

@@ -47,22 +47,21 @@ namespace cpdg::tensor {
 /// The grid values are identical, so cross-backend bitwise parity holds.
 
 /// \brief A per-row-scale symmetric int8-grid matrix: element (r, c) is
-/// values[r * cols + c] and dequantizes to values[r*cols+c] * scales[r].
+/// wide[r * cols + c] and dequantizes to wide[r*cols+c] * scales[r].
 struct QuantizedMatrix {
   int64_t rows = 0;
   int64_t cols = 0;
   int64_t kpad = 0;  ///< cols rounded up to the dpbusd quad (4)
-  std::vector<int8_t> values;  ///< row-major [rows, cols], the compact form
-  /// The same integers pre-sign-extended for the scalar/AVX2 microkernel
-  /// (file comment); values[i] == wide[i] always.
+  /// Row-major [rows, cols] grid integers on [-127, 127], pre-sign-extended
+  /// for the scalar/AVX2 microkernel (file comment).
   std::vector<int16_t> wide;
   /// AVX-VNNI lane-interleaved pack (file comment): ceil(rows/8) blocks of
   /// kpad*8 bytes; block jb, k-quad kb, lane l, byte t holds
-  /// values[(jb*8+l)*cols + kb*4+t], zero beyond rows/cols. Built
+  /// wide[(jb*8+l)*cols + kb*4+t], zero beyond rows/cols. Built
   /// unconditionally (load-time cost only) so its layout is testable on
   /// any machine.
   std::vector<int8_t> packed;
-  std::vector<int32_t> bias;  ///< [rows]: 128 * Σ_c values[r*cols+c]
+  std::vector<int32_t> bias;  ///< [rows]: 128 * Σ_c wide[r*cols+c]
   std::vector<float> scales;  ///< [rows]
 };
 
@@ -95,7 +94,7 @@ inline constexpr int64_t kQuantMR = 4;
 inline constexpr int64_t kQuantNR = 4;
 /// @}
 
-/// \brief Frozen-weight registry for one model replica: maps a parameter
+/// \brief Frozen-weight registry for one model: maps a parameter
 /// tensor's float data pointer to its pre-quantized transpose. Built once
 /// at checkpoint load; immutable afterwards, so concurrent readers need no
 /// locking.
@@ -113,7 +112,8 @@ class QuantizedParamSet {
   int64_t weight_count() const {
     return static_cast<int64_t>(weights_.size());
   }
-  /// int8 payload bytes held (scales excluded); for logs and metrics.
+  /// Grid values held, one per weight element (the int8 payload size;
+  /// scales and kernel layouts excluded); for logs and metrics.
   int64_t quantized_bytes() const;
 
  private:

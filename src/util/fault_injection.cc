@@ -28,16 +28,6 @@ FaultInjector::FaultInjector() {
     config.serve_stall_millis = std::atol(v);
     armed = true;
   }
-  if (const char* v = std::getenv("CPDG_FAULT_SERVE_REPLAY_FAIL")) {
-    if (v[0] == '1') {
-      config.serve_replay_fail = true;
-      armed = true;
-    }
-  }
-  if (const char* v = std::getenv("CPDG_FAULT_SERVE_RELOAD_CORRUPT")) {
-    config.serve_reload_corrupt = std::atol(v);
-    armed = true;
-  }
   if (armed) config_ = config;
 }
 
@@ -57,22 +47,6 @@ int64_t FaultInjector::ConsumeServeStallMillis() {
   int64_t millis = config_->serve_stall_millis;
   config_->serve_stall_millis = 0;
   return millis;
-}
-
-bool FaultInjector::ConsumeServeReplayFail() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!config_.has_value() || !config_->serve_replay_fail) return false;
-  config_->serve_replay_fail = false;
-  return true;
-}
-
-bool FaultInjector::ConsumeServeReloadCorrupt() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!config_.has_value() || config_->serve_reload_corrupt <= 0) {
-    return false;
-  }
-  --config_->serve_reload_corrupt;
-  return true;
 }
 
 void FaultInjector::Install(const std::optional<Config>& config) {

@@ -23,18 +23,12 @@ namespace cpdg::util {
 ///                                 before it reaches the disk — silent
 ///                                 corruption the CRC layer must catch
 ///
-/// Serving-path faults (consumed one-shot through the Consume* methods, so
-/// a single injected fault fires exactly once no matter how many shard
-/// executors race on it):
+/// Serving-path fault (consumed one-shot through ConsumeServeStallMillis,
+/// so a single injected fault fires exactly once no matter how many
+/// executor workers race on it):
 ///   CPDG_FAULT_SERVE_STALL_MS     the next serving executor batch stalls
-///                                 for N ms — a wedged shard the watchdog
+///                                 for N ms — a wedged worker the watchdog
 ///                                 must detect and restart
-///   CPDG_FAULT_SERVE_REPLAY_FAIL=1  the next shard advance-replay fails,
-///                                 leaving that shard behind the fleet's
-///                                 memory version until it is restarted
-///   CPDG_FAULT_SERVE_RELOAD_CORRUPT=N  the next N shard checkpoint
-///                                 reloads fail as if the artifact were
-///                                 corrupt (restart retry drill)
 ///
 /// The injector is never consulted on read paths of the storage layer;
 /// corruption testing of loads is done by mutating the file directly.
@@ -52,10 +46,6 @@ class FaultInjector {
     uint8_t bitflip_mask = 0x01;
     /// > 0: the next serving executor batch sleeps this long (one-shot).
     int64_t serve_stall_millis = 0;
-    /// The next shard advance-replay reports failure (one-shot).
-    bool serve_replay_fail = false;
-    /// > 0: the next N shard checkpoint reloads fail with IoError.
-    int64_t serve_reload_corrupt = 0;
   };
 
   /// \brief RAII installer; the previous config (or inactivity) is
@@ -78,13 +68,10 @@ class FaultInjector {
   /// Snapshot of the armed config, or nullopt when no fault is armed.
   std::optional<Config> active() const;
 
-  /// \brief One-shot serving faults: each Consume* atomically disarms the
-  /// fault it returns, so exactly one of any number of racing shard
-  /// executors observes it. Returns 0/false when the fault is not armed.
+  /// \brief One-shot serving stall: atomically disarms the fault it
+  /// returns, so exactly one of any number of racing executor workers
+  /// observes it. Returns 0 when the fault is not armed.
   int64_t ConsumeServeStallMillis();
-  bool ConsumeServeReplayFail();
-  /// Decrements the reload-corruption budget; true while budget remains.
-  bool ConsumeServeReloadCorrupt();
 
  private:
   FaultInjector();

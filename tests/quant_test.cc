@@ -81,13 +81,13 @@ TEST(QuantizeTest, RoundTripBoundAndGridRange) {
   ts::QuantizedMatrix q = ts::QuantizeRowsInt8(src.data(), rows, cols);
   ASSERT_EQ(q.rows, rows);
   ASSERT_EQ(q.cols, cols);
-  ASSERT_EQ(q.values.size(), static_cast<size_t>(rows * cols));
+  ASSERT_EQ(q.wide.size(), static_cast<size_t>(rows * cols));
   ASSERT_EQ(q.scales.size(), static_cast<size_t>(rows));
   for (int64_t r = 0; r < rows; ++r) {
     const float s = q.scales[static_cast<size_t>(r)];
     ASSERT_GT(s, 0.0f);
     for (int64_t c = 0; c < cols; ++c) {
-      const int8_t v = q.values[static_cast<size_t>(r * cols + c)];
+      const int16_t v = q.wide[static_cast<size_t>(r * cols + c)];
       EXPECT_GE(v, -127);
       EXPECT_LE(v, 127);
       // Symmetric round-to-nearest: reconstruction error is at most half
@@ -108,7 +108,7 @@ TEST(QuantizeTest, ZeroRowHasZeroScaleAndZeroCodes) {
   for (int64_t r = 1; r < rows; ++r) {
     EXPECT_EQ(q.scales[static_cast<size_t>(r)], 0.0f);
     for (int64_t c = 0; c < cols; ++c) {
-      EXPECT_EQ(q.values[static_cast<size_t>(r * cols + c)], 0);
+      EXPECT_EQ(q.wide[static_cast<size_t>(r * cols + c)], 0);
     }
   }
 }
@@ -119,10 +119,7 @@ TEST(QuantizeTest, WidePackedAndBiasMirrorValues) {
   std::vector<float> src = RandomVec(rows * cols, &rng);
   ts::QuantizedMatrix q = ts::QuantizeRowsInt8(src.data(), rows, cols);
   ASSERT_EQ(q.kpad, (cols + 3) & ~int64_t{3});
-  ASSERT_EQ(q.wide.size(), q.values.size());
-  for (size_t i = 0; i < q.values.size(); ++i) {
-    EXPECT_EQ(static_cast<int16_t>(q.values[i]), q.wide[i]);
-  }
+  ASSERT_EQ(q.wide.size(), static_cast<size_t>(rows * cols));
   const int64_t nblk = (rows + 7) / 8;
   ASSERT_EQ(q.packed.size(), static_cast<size_t>(nblk * q.kpad * 8));
   ASSERT_EQ(q.bias.size(), static_cast<size_t>(rows));
@@ -137,7 +134,7 @@ TEST(QuantizeTest, WidePackedAndBiasMirrorValues) {
                                            l * 4 + t)];
           const int64_t r = jb * 8 + l, c = kb * 4 + t;
           if (r < rows && c < cols) {
-            EXPECT_EQ(b, q.values[static_cast<size_t>(r * cols + c)]);
+            EXPECT_EQ(b, q.wide[static_cast<size_t>(r * cols + c)]);
           } else {
             EXPECT_EQ(b, 0);
           }
@@ -148,7 +145,7 @@ TEST(QuantizeTest, WidePackedAndBiasMirrorValues) {
   for (int64_t r = 0; r < rows; ++r) {
     int32_t sum = 0;
     for (int64_t c = 0; c < cols; ++c) {
-      sum += q.values[static_cast<size_t>(r * cols + c)];
+      sum += q.wide[static_cast<size_t>(r * cols + c)];
     }
     EXPECT_EQ(q.bias[static_cast<size_t>(r)], 128 * sum);
   }
@@ -169,7 +166,7 @@ TEST(QuantizeTest, TransposeQuantMatchesQuantOfTranspose) {
   ts::QuantizedMatrix b = ts::QuantizeRowsInt8(t.data(), cols, rows);
   ASSERT_EQ(a.rows, b.rows);
   ASSERT_EQ(a.cols, b.cols);
-  EXPECT_EQ(a.values, b.values);
+  EXPECT_EQ(a.wide, b.wide);
   EXPECT_EQ(a.scales, b.scales);
   EXPECT_EQ(a.packed, b.packed);
   EXPECT_EQ(a.bias, b.bias);

@@ -1,8 +1,7 @@
-// Overload-robustness and fault-recovery tests for the multi-shard serving
+// Overload-robustness and fault-recovery tests for the multi-worker serving
 // engine: bounded-queue admission (reject / shed-oldest / block), deadline
-// expiry and stale degradation, the cross-shard advance barrier, and
-// watchdog-driven shard restart under injected executor stalls, replay
-// failures, and checkpoint-reload corruption.
+// expiry and stale degradation, reads racing snapshot-publishing advances,
+// and watchdog-driven worker restart under injected executor stalls.
 
 #include <atomic>
 #include <chrono>
@@ -10,7 +9,9 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -173,7 +174,7 @@ TEST(RequestQueueTest, RejectPolicyFillRejectDrainAccept) {
   EXPECT_EQ(queue.depth(), 1);
 }
 
-TEST(RequestQueueTest, ShedOldestReturnsVictimsAndSparesBarriers) {
+TEST(RequestQueueTest, ShedOldestReturnsVictims) {
   serve::RequestQueue::Options options;
   options.limit = 2;
   options.policy = serve::OverloadPolicy::kShedOldest;
@@ -189,22 +190,6 @@ TEST(RequestQueueTest, ShedOldestReturnsVictimsAndSparesBarriers) {
   ASSERT_EQ(shed.size(), 1u);
   EXPECT_EQ(shed[0]->nodes[0], 1);  // oldest victim
   EXPECT_EQ(queue.depth(), 2);
-
-  // Barriers are never shed: with only barriers queued, shed-oldest
-  // degrades to reject.
-  serve::RequestQueue::Options barrier_options;
-  barrier_options.limit = 1;
-  barrier_options.policy = serve::OverloadPolicy::kShedOldest;
-  serve::RequestQueue barrier_queue(barrier_options);
-  auto barrier = std::make_unique<serve::Request>();
-  barrier->kind = serve::Request::Kind::kAdvance;
-  EXPECT_EQ(barrier_queue.PushControl(barrier),
-            serve::PushOutcome::kAccepted);
-  auto r4 = MakeEmbedRequest(4);
-  shed.clear();
-  EXPECT_EQ(barrier_queue.Push(r4, &shed), serve::PushOutcome::kRejected);
-  EXPECT_TRUE(shed.empty());
-  ASSERT_NE(r4, nullptr);
 }
 
 TEST(RequestQueueTest, BlockPolicyWaitsForSpaceAndShutdownUnblocks) {
@@ -370,7 +355,7 @@ TEST(ServeRobustnessTest, OverloadRejectsWithResourceExhausted) {
   std::vector<std::future<Result<serve::EmbedResponse>>> accepted;
   int64_t rejected = 0;
   for (int i = 0; i < 11; ++i) {
-    // Same node: everything lands on one shard queue.
+    // Same node: everything lands on one worker queue.
     auto r = engine->EmbedAsync({0}, t);
     if (r.ok()) {
       accepted.push_back(r.TakeValue());
@@ -469,7 +454,7 @@ TEST(ServeRobustnessTest, DeadlinePressureServesStaleCacheHit) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-shard consistency.
+// Multi-worker consistency.
 // ---------------------------------------------------------------------------
 
 TEST(ServeRobustnessTest, MultiShardServingIsBitIdenticalAcrossAdvance) {
@@ -487,7 +472,7 @@ TEST(ServeRobustnessTest, MultiShardServingIsBitIdenticalAcrossAdvance) {
   for (graph::NodeId v = 0; v < kNumNodes; ++v) all_nodes.push_back(v);
   ts::Tensor direct = fx.DirectEmbed(all_nodes, t);
 
-  // Single-node requests spread over all three shards by node affinity;
+  // Single-node requests spread over all three workers by node affinity;
   // every row must match the direct forward bit for bit.
   for (graph::NodeId v = 0; v < kNumNodes; ++v) {
     auto r = engine->EmbedFull({v}, t);
@@ -500,16 +485,10 @@ TEST(ServeRobustnessTest, MultiShardServingIsBitIdenticalAcrossAdvance) {
         << "row " << v << " differs from the direct forward";
   }
 
-  // A fleet advance replays the full stream on every replica and leaves
-  // them on one memory version.
+  // After an advance every worker answers from the one new snapshot.
   std::vector<graph::Event> fresh =
       MakeEvents(99, kAdvanceEvents, fx.graph.max_time() + 1.0);
   ASSERT_TRUE(engine->Advance(fresh).ok());
-  std::vector<uint64_t> versions = engine->ShardMemoryVersions();
-  ASSERT_EQ(versions.size(), 3u);
-  EXPECT_EQ(versions[0], versions[1]);
-  EXPECT_EQ(versions[1], versions[2]);
-  EXPECT_EQ(versions[0], engine->memory_version());
 
   {
     ts::InferenceModeGuard guard;
@@ -520,12 +499,108 @@ TEST(ServeRobustnessTest, MultiShardServingIsBitIdenticalAcrossAdvance) {
   for (graph::NodeId v = 0; v < kNumNodes; ++v) {
     auto r = engine->EmbedFull({v}, t2);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().memory_version, engine->memory_version());
     ASSERT_EQ(0, std::memcmp(r.value().embeddings.data(),
                              direct_after.data() + v * direct_after.cols(),
                              static_cast<size_t>(direct_after.cols()) *
                                  sizeof(float)))
         << "post-advance row " << v << " differs";
   }
+}
+
+TEST(ServeRobustnessTest, ReadsRacingAdvancesMatchReferenceAtTheirVersion) {
+  Fixture fx("racing");
+  serve::ServingOptions options;
+  options.num_shards = 4;
+  options.max_batch = 8;
+  auto engine = serve::ServingEngine::FromCheckpoint(
+                    SmallConfig(), kPredictorHidden, &fx.graph,
+                    fx.checkpoint_path, options)
+                    .TakeValue();
+  const double t = fx.graph.max_time() + 500.0;
+  constexpr int kAdvances = 5;
+
+  // One reference memory per published version, built by replaying the
+  // same advances (same batching) onto copies of the loaded snapshot.
+  std::vector<std::vector<graph::Event>> feeds;
+  std::map<uint64_t, dgnn::Memory> reference;
+  {
+    dgnn::Memory memory = *engine->memory_snapshot();
+    reference.emplace(memory.version(), memory);
+    ts::InferenceModeGuard guard;
+    for (int k = 0; k < kAdvances; ++k) {
+      feeds.push_back(MakeEvents(200 + static_cast<uint64_t>(k), 30,
+                                 fx.graph.max_time() + 1.0 + 60.0 * k));
+      fx.encoder->ReplayEvents(&memory, feeds.back(),
+                               serve::kAdvanceReplayBatch);
+      reference.emplace(memory.version(), memory);
+    }
+  }
+
+  struct Seen {
+    std::vector<graph::NodeId> nodes;
+    uint64_t version;
+    ts::Tensor rows;
+  };
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> answered{0};
+  std::vector<std::vector<Seen>> seen(4);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      for (int i = 0; !done.load() || i < 20; ++i) {
+        std::vector<graph::NodeId> nodes = {
+            static_cast<graph::NodeId>((r + 4 * i) % kNumNodes),
+            static_cast<graph::NodeId>((7 * i + r) % kNumNodes)};
+        auto response = engine->EmbedFull(nodes, t);
+        ASSERT_TRUE(response.ok()) << response.status().ToString();
+        ASSERT_FALSE(response.value().stale);
+        seen[static_cast<size_t>(r)].push_back(
+            {nodes, response.value().memory_version,
+             response.value().embeddings});
+        answered.fetch_add(1);
+      }
+    });
+  }
+  // Each advance lands while reads are in flight, and some reads are
+  // answered between consecutive advances.
+  const auto await_reads = [&] {
+    const int64_t mark = answered.load();
+    ASSERT_TRUE(WaitFor([&] { return answered.load() >= mark + 8; },
+                        /*timeout_ms=*/10000));
+  };
+  for (int k = 0; k < kAdvances; ++k) {
+    await_reads();
+    ASSERT_TRUE(engine->Advance(feeds[static_cast<size_t>(k)]).ok());
+  }
+  await_reads();
+  done.store(true);
+  for (auto& reader : readers) reader.join();
+  EXPECT_EQ(engine->memory_version(), reference.rbegin()->first);
+
+  ts::InferenceModeGuard guard;
+  dgnn::ForwardScratch scratch;
+  std::set<uint64_t> versions;
+  for (const std::vector<Seen>& mine : seen) {
+    uint64_t last = 0;
+    for (const Seen& s : mine) {
+      EXPECT_GE(s.version, last) << "a reader saw its version go down";
+      last = s.version;
+      versions.insert(s.version);
+      auto it = reference.find(s.version);
+      ASSERT_NE(it, reference.end())
+          << "response reports unpublished version " << s.version;
+      scratch.Clear();
+      ExpectBitIdentical(
+          s.rows, fx.encoder->ComputeEmbeddings(
+                      it->second, &scratch, s.nodes,
+                      std::vector<double>(s.nodes.size(), t)));
+    }
+  }
+  // Each reader has at most one read in flight, so of the 8 reads awaited
+  // between two advances at least 4 were submitted, and answered, at the
+  // version in between: every published version is seen.
+  EXPECT_EQ(versions.size(), reference.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -536,7 +611,6 @@ serve::ServingOptions FastWatchdogOptions() {
   serve::ServingOptions options;
   options.watchdog_interval_ms = 25;
   options.watchdog_max_missed = 4;  // wedge declared after ~100 ms
-  options.quiesce_timeout_ms = 500;
   return options;
 }
 
@@ -559,9 +633,9 @@ TEST(ServeRobustnessTest, WatchdogRestartsWedgedShard) {
 
   ASSERT_TRUE(WaitFor([&] { return engine->watchdog_restarts() >= 1; },
                       /*timeout_ms=*/10000))
-      << "watchdog did not restart the wedged shard";
+      << "watchdog did not restart the wedged worker";
 
-  // The rebuilt replica answers immediately — bitwise-identical to the
+  // The fresh worker answers immediately — bitwise-identical to the
   // reference — while the zombie executor is still sleeping.
   auto probe = engine->EmbedFull({0}, t);
   ASSERT_TRUE(probe.ok()) << probe.status().ToString();
@@ -573,90 +647,6 @@ TEST(ServeRobustnessTest, WatchdogRestartsWedgedShard) {
   ASSERT_TRUE(victim_result.ok()) << victim_result.status().ToString();
   ExpectBitIdentical(victim_result.value().embeddings,
                      fx.DirectEmbed({0}, t));
-}
-
-TEST(ServeRobustnessTest, ReplayFailureRecoversThroughJournal) {
-  Fixture fx("replayfail");
-  auto engine = serve::ServingEngine::FromCheckpoint(
-                    SmallConfig(), kPredictorHidden, &fx.graph,
-                    fx.checkpoint_path, FastWatchdogOptions())
-                    .TakeValue();
-  const uint64_t v0 = engine->memory_version();
-  std::vector<graph::Event> fresh =
-      MakeEvents(99, kAdvanceEvents, fx.graph.max_time() + 1.0);
-
-  {
-    util::FaultInjector::Scope fail([] {
-      util::FaultInjector::Config c;
-      c.serve_replay_fail = true;
-      return c;
-    }());
-    // The only shard fails its replay: no live replica applied the
-    // advance, but it is journaled for recovery.
-    Status status = engine->Advance(fresh);
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), StatusCode::kUnavailable)
-        << status.ToString();
-  }
-
-  // The watchdog rebuilds the shard from checkpoint + journal, which
-  // contains the failed advance — the fleet version catches up.
-  ASSERT_TRUE(WaitFor([&] { return engine->memory_version() > v0; },
-                      /*timeout_ms=*/10000))
-      << "restarted shard never caught up past version " << v0;
-  EXPECT_GE(engine->watchdog_restarts(), 1);
-
-  // Bitwise probe against a reference encoder that replayed the same
-  // events with the same batching.
-  {
-    ts::InferenceModeGuard guard;
-    fx.encoder->ReplayEvents(fresh, /*batch_size=*/128);
-  }
-  const double t = fx.graph.max_time() + 60.0;
-  const std::vector<graph::NodeId> probe = {0, 1, 2, 3};
-  ts::Tensor direct = fx.DirectEmbed(probe, t);
-  ASSERT_TRUE(WaitFor(
-      [&] {
-        auto r = engine->EmbedFull(probe, t);
-        return r.ok() &&
-               std::memcmp(r.value().embeddings.data(), direct.data(),
-                           static_cast<size_t>(direct.size()) *
-                               sizeof(float)) == 0;
-      },
-      /*timeout_ms=*/5000))
-      << "post-recovery serving does not match the reference replay";
-
-  // Subsequent advances work normally.
-  EXPECT_TRUE(
-      engine->Advance(MakeEvents(123, 8, fx.graph.max_time() + 200.0)).ok());
-}
-
-TEST(ServeRobustnessTest, CorruptReloadIsRetriedUntilRestartSucceeds) {
-  Fixture fx("reloadcorrupt");
-  auto engine = serve::ServingEngine::FromCheckpoint(
-                    SmallConfig(), kPredictorHidden, &fx.graph,
-                    fx.checkpoint_path, FastWatchdogOptions())
-                    .TakeValue();
-  const double t = fx.graph.max_time() + 1.0;
-
-  util::FaultInjector::Scope faults([] {
-    util::FaultInjector::Config c;
-    c.serve_stall_millis = 2500;   // wedge a shard to force a restart
-    c.serve_reload_corrupt = 1;    // first rebuild hits a corrupt read
-    return c;
-  }());
-  auto victim = engine->EmbedAsync({0}, t);
-  ASSERT_TRUE(victim.ok());
-
-  ASSERT_TRUE(WaitFor([&] { return engine->watchdog_restarts() >= 1; },
-                      /*timeout_ms=*/10000))
-      << "restart never succeeded after the corrupt reload";
-  EXPECT_GE(engine->reload_failures(), 1);
-
-  auto probe = engine->EmbedFull({1}, t);
-  ASSERT_TRUE(probe.ok()) << probe.status().ToString();
-  ExpectBitIdentical(probe.value().embeddings, fx.DirectEmbed({1}, t));
-  ASSERT_TRUE(victim.TakeValue().get().ok());
 }
 
 // ---------------------------------------------------------------------------

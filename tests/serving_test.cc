@@ -160,7 +160,7 @@ TEST(ServingEngineTest, LoadsParamsAndMemoryFrozen) {
     ExpectBitIdentical(expected[i], actual[i]);
     EXPECT_FALSE(actual[i].requires_grad());
   }
-  EXPECT_DOUBLE_EQ(engine.encoder().memory().StateNorm(),
+  EXPECT_DOUBLE_EQ(engine.memory_snapshot()->StateNorm(),
                    fx.encoder->memory().StateNorm());
   EXPECT_TRUE(engine.has_predictor());
 }
@@ -333,7 +333,6 @@ TEST(ServingEngineTest, AdvanceInvalidatesCacheAndMatchesReplayedEncoder) {
   std::vector<graph::Event> fresh = MakeEvents(99, kAdvanceEvents, t0 + 1.0);
   ASSERT_TRUE(engine->Advance(fresh).ok());
   EXPECT_GT(engine->memory_version(), version_before);
-  EXPECT_GT(engine->cache_invalidations(), 0);
 
   // Out-of-range events are rejected without touching memory.
   graph::Event bad;
@@ -352,6 +351,8 @@ TEST(ServingEngineTest, AdvanceInvalidatesCacheAndMatchesReplayedEncoder) {
     fx.encoder->ReplayEvents(fresh, /*batch_size=*/128);
   }
   ts::Tensor after = engine->Embed(probe, t_query).TakeValue();
+  // The worker drops its cache when its first batch sees the new version.
+  EXPECT_GT(engine->cache_invalidations(), 0);
   ExpectBitIdentical(after, fx.DirectEmbed(probe, t_query));
   EXPECT_NE(0, std::memcmp(before.data(), after.data(),
                            static_cast<size_t>(before.size()) *
