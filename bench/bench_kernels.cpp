@@ -166,6 +166,7 @@ void WriteJson(const std::vector<Record>& records, const char* path) {
     return;
   }
   const unsigned hw = std::thread::hardware_concurrency();
+  const int allowed = util::ThreadPool::AllowedCpus();
   const char* simd = ts::simd::ModeName(ts::simd::ActiveMode());
   std::fputs("[\n", f);
   for (size_t i = 0; i < records.size(); ++i) {
@@ -174,10 +175,11 @@ void WriteJson(const std::vector<Record>& records, const char* path) {
                  "  {\"name\": \"%s\", \"threads\": %d, \"seconds\": %.6g, "
                  "\"spread_pct\": %.2f, \"gflops\": %.4g, "
                  "\"speedup_vs_1\": %.4g, \"bitwise_equal_to_serial\": %s, "
-                 "\"hardware_concurrency\": %u, \"simd\": \"%s\"}%s\n",
+                 "\"hardware_concurrency\": %u, \"allowed_cpus\": %d, "
+                 "\"simd\": \"%s\"}%s\n",
                  r.name.c_str(), r.threads, r.seconds, r.spread_pct, r.gflops,
                  r.speedup_vs_1, r.bitwise_equal_to_serial ? "true" : "false",
-                 hw, simd, i + 1 < records.size() ? "," : "");
+                 hw, allowed, simd, i + 1 < records.size() ? "," : "");
   }
   std::fputs("]\n", f);
   std::fclose(f);
@@ -200,8 +202,9 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < thread_counts.size(); ++i) {
     std::printf("%s%d", i != 0u ? "," : "", thread_counts[i]);
   }
-  std::printf("}; hardware_concurrency=%u; simd=%s\n\n",
+  std::printf("}; hardware_concurrency=%u; allowed_cpus=%d; simd=%s\n\n",
               std::thread::hardware_concurrency(),
+              util::ThreadPool::AllowedCpus(),
               ts::simd::ModeName(ts::simd::ActiveMode()));
 
   std::vector<Record> records;
@@ -213,6 +216,8 @@ int main(int argc, char** argv) {
     double serial_seconds = 0.0;
     for (int threads : thread_counts) {
       util::ThreadPool::SetGlobalNumThreads(threads);
+      const util::ThreadPoolMetrics pool_before =
+          util::ThreadPool::ReadMetrics();
       Record rec;
       rec.name = name;
       rec.threads = threads;
@@ -239,6 +244,8 @@ int main(int argc, char** argv) {
                   name, threads, rec.seconds, rec.spread_pct, rec.gflops,
                   rec.speedup_vs_1,
                   rec.bitwise_equal_to_serial ? "ok" : "MISMATCH");
+      // Where this thread count's regions ran and how fast workers woke.
+      std::printf("  %s\n", (util::ThreadPool::ReadMetrics() - pool_before).Summary().c_str());
       records.push_back(rec);
     }
   }

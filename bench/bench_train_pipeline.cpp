@@ -36,6 +36,7 @@
 #include "obs/profiler.h"
 #include "tensor/arena.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 // Allocation probe (the obs_test pattern, widened to all threads): every
@@ -250,7 +251,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(r.workers), r.batches_per_sec,
                 r.overlap_ratio, r.allocs_per_batch);
   }
-  std::printf("\n");
+  std::printf("\n%s\n\n", util::ThreadPool::ReadMetrics().Summary().c_str());
 
   const Record& noarena = records.back();
   double alloc_reduction =

@@ -18,10 +18,13 @@ Thread-scaling gates (--min-speedup name:threads:factor, repeatable;
 default matmul_fwd:4:2.5) fail the run when the current file has a
 matching record whose speedup_vs_1 falls below the factor. A gate is
 skipped, with a note, when the record is absent (e.g. the smoke sweep
-stops at 2 threads) or when the recorded hardware_concurrency is below
-the thread count — a 1-core CI box cannot exhibit real scaling, and
-oversubscribed numbers would only gate on noise. Pass --min-speedup none
-to disable.
+stops at 2 threads) or when the recorded allowed_cpus — the CPUs the
+process could run on, what `nproc` reports — is below the thread count:
+a 1-core CI box or a `taskset -c 0` run cannot exhibit real scaling, and
+oversubscribed numbers would only gate on noise (hardware_concurrency
+counts every CPU of the machine and would not skip them). Records without
+allowed_cpus predate it and are skipped too. Pass --min-speedup none to
+disable.
 
 With --quant, both files are quantization summaries
 (BENCH_serving_quant.json: a top-level object whose per-precision
@@ -175,11 +178,11 @@ def main():
             print(f"note  scaling gate {name} threads={threads}: "
                   "no such record in current run, skipped")
             continue
-        cores = rec.get("hardware_concurrency")
+        cores = rec.get("allowed_cpus")
         if cores is None or int(cores) < threads:
             print(f"note  scaling gate {name} threads={threads}: "
-                  f"machine has {cores} core(s), skipped "
-                  "(cannot scale past physical cores)")
+                  f"run could use {cores} CPU(s), skipped "
+                  "(cannot scale past the CPUs it may run on)")
             continue
         if "speedup_vs_1" not in rec:
             print(f"note  scaling gate {name} threads={threads}: "

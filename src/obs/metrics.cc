@@ -6,6 +6,7 @@
 
 #include "util/atomic_file.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace cpdg::obs {
 
@@ -149,6 +150,41 @@ Histogram& MetricsRegistry::histogram(const std::string& name) {
   return *slot;
 }
 
+namespace {
+
+/// The kernel pool's process-wide counters (util cannot link obs, so the
+/// registry reads them at export time).
+void AppendThreadPool(std::ostringstream* out,
+                      const util::ThreadPoolMetrics& m) {
+  *out << "{\"regions_dispatched\": " << m.regions_dispatched
+       << ", \"regions_inline\": " << m.regions_inline
+       << ", \"participants\": " << m.participants
+       << ", \"spin_hits\": " << m.spin_hits << ", \"parks\": " << m.parks
+       << ", \"late_arrivals\": " << m.late_arrivals << ", \"wake_us\": [";
+  bool first = true;
+  for (int b = 0; b < util::ThreadPoolMetrics::kWakeBuckets; ++b) {
+    if (m.wake_us[b] == 0) continue;
+    *out << (first ? "" : ", ") << "{\"le\": ";
+    if (b + 1 == util::ThreadPoolMetrics::kWakeBuckets) {
+      *out << "\"inf\"";
+    } else {
+      *out << (int64_t{1} << b);
+    }
+    *out << ", \"count\": " << m.wake_us[b] << "}";
+    first = false;
+  }
+  *out << "], \"stripes_by_cpu\": {";
+  first = true;
+  for (int c = 0; c < util::ThreadPoolMetrics::kMaxCpus; ++c) {
+    if (m.stripes_by_cpu[c] == 0) continue;
+    *out << (first ? "" : ", ") << "\"" << c << "\": " << m.stripes_by_cpu[c];
+    first = false;
+  }
+  *out << "}}";
+}
+
+}  // namespace
+
 std::string MetricsRegistry::ToJson() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::ostringstream out;
@@ -191,7 +227,9 @@ std::string MetricsRegistry::ToJson() const {
     out << "]}";
     first = false;
   }
-  out << (first ? "}" : "\n  }") << "\n}\n";
+  out << (first ? "}" : "\n  }") << ",\n  \"thread_pool\": ";
+  AppendThreadPool(&out, util::ThreadPool::ReadMetrics());
+  out << "\n}\n";
   return out.str();
 }
 

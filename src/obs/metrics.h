@@ -101,8 +101,11 @@ class MetricsRegistry {
 
   /// Flat JSON snapshot, keys sorted by name (deterministic):
   /// {"counters": {...}, "gauges": {...}, "histograms": {name:
-  /// {"count","sum","min","max","buckets":[{"le",count}, ...]}}}. Histogram
-  /// bucket lists include only non-empty buckets.
+  /// {"count","sum","min","max","buckets":[{"le",count}, ...]}},
+  /// "thread_pool": {...}}. Histogram bucket lists include only non-empty
+  /// buckets. "thread_pool" holds util::ThreadPool::ReadMetrics(): regions
+  /// dispatched and inline, participants, spin hits, parks, late arrivals,
+  /// the wake-latency buckets (le in us) and stripes per CPU id.
   std::string ToJson() const;
 
   /// Writes ToJson() atomically (temp file + rename).

@@ -1,7 +1,7 @@
 // Packed, cache-blocked GEMM driver: owns the blocking loops, operand
-// packing, and the thread fan-out; per-tile arithmetic is delegated to the
-// backend microkernel selected by simd::ActiveMode(). See gemm.h for the
-// determinism contract.
+// packing, the output tiling and the thread fan-out; per-tile arithmetic is
+// delegated to the backend microkernel selected by simd::ActiveMode(). See
+// gemm.h for the determinism contract.
 
 #include "tensor/gemm.h"
 
@@ -80,28 +80,78 @@ void PackB(const GemmView& b, int64_t p0, int64_t kb, float* bpack) {
   }
 }
 
-/// One MC-tall row block for one k-block: packs its A slice and sweeps the
-/// microkernel over every (MR row group) x (NR column panel) tile.
-void ComputeRowBlock(MicroKernelFn micro, const GemmView& a,
-                     const float* bpack, int64_t p0, int64_t kb, int64_t i0,
-                     int64_t mb, int64_t n, float* c) {
-  // Per-thread pack buffer: reused across blocks and calls; workers are
-  // long-lived pool threads so the allocation amortizes away.
-  static thread_local std::vector<float> apack;
-  apack.resize(static_cast<size_t>(((mb + MR - 1) / MR) * kb * MR));
-  PackA(a, i0, mb, p0, kb, apack.data());
+/// Output tiling: tile_rows x tile_cols tiles, row-major. A function of
+/// the shape only; the arithmetic per C element does not depend on it.
+struct TileGrid {
+  int64_t tile_rows = 0;  // multiple of MR, at most MC
+  int64_t tile_cols = 0;  // multiple of NR
+  int64_t row_tiles = 0;
+  int64_t col_tiles = 0;
+};
 
-  const int64_t groups = (mb + MR - 1) / MR;
+/// Column-tile width in NR panels: the B slice a tile sweeps per k-block
+/// (KC x 128 floats) stays cache-resident.
+constexpr int64_t kTilePanels = 8;
+/// Grids with fewer tiles get shorter row tiles (down to MR), so products
+/// with few rows — the weight gradients — still split.
+constexpr int64_t kMinTiles = 8;
+
+TileGrid MakeTileGrid(int64_t m, int64_t n) {
+  const int64_t groups = (m + MR - 1) / MR;
   const int64_t panels = (n + NR - 1) / NR;
-  for (int64_t ig = 0; ig < groups; ++ig) {
-    const int64_t mvalid = std::min<int64_t>(MR, mb - ig * MR);
-    for (int64_t jg = 0; jg < panels; ++jg) {
-      const int64_t nvalid = std::min<int64_t>(NR, n - jg * NR);
-      micro(apack.data() + ig * kb * MR, bpack + jg * kb * NR, kb,
-            c + (i0 + ig * MR) * n + jg * NR, n, mvalid, nvalid);
+  TileGrid g;
+  g.tile_cols = std::min(panels, kTilePanels) * NR;
+  g.col_tiles = (n + g.tile_cols - 1) / g.tile_cols;
+  int64_t tile_groups = std::min(groups, MC / MR);
+  while (tile_groups > 1 &&
+         (groups + tile_groups - 1) / tile_groups * g.col_tiles < kMinTiles) {
+    tile_groups = (tile_groups + 1) / 2;
+  }
+  g.tile_rows = tile_groups * MR;
+  g.row_tiles = (m + g.tile_rows - 1) / g.tile_rows;
+  return g;
+}
+
+/// One product's tiles. Captured by a single reference, so the region's
+/// std::function stays inside its small-object buffer (no allocation).
+struct TileJob {
+  MicroKernelFn micro;
+  GemmView a;
+  const float* bpack;  // all of B; k-block p0 at bpack + p0 * npad
+  int64_t npad;
+  int64_t n;
+  float* c;
+  TileGrid grid;
+
+  /// Tile t, every k-block in ascending order: packs the tile's A slice
+  /// per k-block and sweeps the microkernel over its (MR row group) x (NR
+  /// column panel) register tiles.
+  void Run(int64_t t) const {
+    // Per-thread pack buffer: reused across tiles and calls; workers are
+    // long-lived pool threads so the allocation amortizes away.
+    static thread_local std::vector<float> apack;
+    const int64_t i0 = t / grid.col_tiles * grid.tile_rows;
+    const int64_t j0 = t % grid.col_tiles * grid.tile_cols;
+    const int64_t mb = std::min(grid.tile_rows, a.rows - i0);
+    const int64_t groups = (mb + MR - 1) / MR;
+    const int64_t jg0 = j0 / NR;
+    const int64_t jg1 = (std::min(j0 + grid.tile_cols, n) + NR - 1) / NR;
+    apack.resize(static_cast<size_t>(groups * KC * MR));
+    for (int64_t p0 = 0; p0 < a.cols; p0 += KC) {
+      const int64_t kb = std::min(KC, a.cols - p0);
+      PackA(a, i0, mb, p0, kb, apack.data());
+      const float* bblock = bpack + p0 * npad;
+      for (int64_t ig = 0; ig < groups; ++ig) {
+        const int64_t mvalid = std::min<int64_t>(MR, mb - ig * MR);
+        for (int64_t jg = jg0; jg < jg1; ++jg) {
+          const int64_t nvalid = std::min<int64_t>(NR, n - jg * NR);
+          micro(apack.data() + ig * kb * MR, bblock + jg * kb * NR, kb,
+                c + (i0 + ig * MR) * n + jg * NR, n, mvalid, nvalid);
+        }
+      }
     }
   }
-}
+};
 
 }  // namespace
 
@@ -117,37 +167,25 @@ void GemmAccumulate(const GemmView& a, const GemmView& b, float* c) {
     return;
   }
 
-  const MicroKernelFn micro = ActiveMicroKernel();
-  const int64_t row_blocks = (m + MC - 1) / MC;
-
-  // Caller-owned B pack buffer, shared read-only by every worker during
-  // the row-block fan-out (ParallelFor blocks until the region completes).
+  // All of B, packed once on the calling thread and shared read-only by
+  // every tile (ParallelFor blocks until the region completes). The job
+  // holds the buffer's pointer: `bpack` is thread_local, so naming it in
+  // a tile would resolve to the running worker's own (empty) instance.
   static thread_local std::vector<float> bpack;
-  bpack.resize(static_cast<size_t>(KC * ((n + NR - 1) / NR) * NR));
-
-  // Hoisted pointer: `bpack` is thread_local, so naming it inside the
-  // worker lambda would resolve to each worker's own (empty) instance.
-  float* const bp = bpack.data();
-
+  const int64_t npad = (n + NR - 1) / NR * NR;
+  bpack.resize(static_cast<size_t>(k * npad));
   for (int64_t p0 = 0; p0 < k; p0 += KC) {
-    const int64_t kb = std::min(KC, k - p0);
-    PackB(b, p0, kb, bp);
-    auto run_block = [&, bp](int64_t blk) {
-      const int64_t i0 = blk * MC;
-      ComputeRowBlock(micro, a, bp, p0, kb, i0, std::min(MC, m - i0), n, c);
-    };
-    if (flops < kGemmParallelMinFlops || row_blocks == 1) {
-      for (int64_t blk = 0; blk < row_blocks; ++blk) run_block(blk);
-    } else {
-      // Chunk = one MC row block; boundaries depend only on the shape, and
-      // each block owns a disjoint row slice of C, so any thread count
-      // produces identical bits.
-      util::ThreadPool::Global().ParallelFor(
-          0, row_blocks, /*grain=*/1, [&](int64_t lo, int64_t hi) {
-            for (int64_t blk = lo; blk < hi; ++blk) run_block(blk);
-          });
-    }
+    PackB(b, p0, std::min(KC, k - p0), bpack.data() + p0 * npad);
   }
+
+  const TileJob job{ActiveMicroKernel(), a, bpack.data(), npad, n, c,
+                    MakeTileGrid(m, n)};
+  util::ThreadPool::Global().ParallelFor(
+      0, job.grid.row_tiles * job.grid.col_tiles, /*grain=*/1,
+      [&job](int64_t lo, int64_t hi) {
+        for (int64_t t = lo; t < hi; ++t) job.Run(t);
+      },
+      /*work_units=*/flops / kGemmMinFlopsPerParticipant);
 }
 
 }  // namespace cpdg::tensor

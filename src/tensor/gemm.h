@@ -21,23 +21,26 @@ struct GemmView {
 /// \brief Dense accumulating matrix product: C += A · B, with C row-major
 /// [a.rows, b.cols] and leading dimension b.cols.
 ///
-/// Implementation: packed, cache-blocked GEMM. B is packed once per
-/// KC-deep k-block into NR-wide column panels; each MC-tall row block packs
-/// its slice of A into MR-interleaved panels and runs an MR x NR
-/// register-tiled microkernel (AVX2/FMA or the bitwise-identical scalar
-/// fallback — see simd.h). Row blocks fan out over
-/// util::ThreadPool::Global() once the product is large enough to amortize
-/// pool dispatch; tiny products take a branch-free serial path.
+/// Implementation: packed, cache-blocked GEMM. B is packed once, per
+/// KC-deep k-block, into NR-wide column panels. The output is cut into
+/// tiles of (up to kGemmMC rows) x (up to 8 NR-wide column panels);
+/// a tile loops over every k-block, packs its slice of A into
+/// MR-interleaved panels and runs an MR x NR register-tiled microkernel
+/// (AVX2/FMA or the bitwise-identical scalar fallback — see simd.h). The
+/// tiles form one util::ThreadPool region that enlists one participant per
+/// kGemmMinFlopsPerParticipant multiply-adds; tiny products take a
+/// branch-free serial path.
 ///
 /// Determinism contract: the value of every C element is a function of the
 /// operands and the fixed blocking constants only. Per element, the
 /// accumulation is an ascending-k chain of correctly-rounded fmaf steps per
 /// KC block, with one add into C per block, and k-blocks are processed in
-/// ascending order. Chunk assignment parallelizes whole row blocks whose
-/// boundaries depend only on the shape, so results are bitwise identical
-/// at every thread count, on both SIMD backends, and on either side of the
-/// serial cutoff. There are no data-dependent skips: runtime is a function
-/// of shape alone, never of sparsity.
+/// ascending order inside the tile that owns the element. Tile boundaries
+/// depend only on the shape and each tile owns a disjoint slice of C, so
+/// results are bitwise identical at every thread count, on both SIMD
+/// backends, and on either side of the work floor. There are no
+/// data-dependent skips: runtime is a function of shape alone, never of
+/// sparsity.
 void GemmAccumulate(const GemmView& a, const GemmView& b, float* c);
 
 /// \name Blocking constants
@@ -47,7 +50,7 @@ void GemmAccumulate(const GemmView& a, const GemmView& b, float* c);
 inline constexpr int64_t kGemmMR = 6;    ///< microkernel rows
 inline constexpr int64_t kGemmNR = 16;   ///< microkernel cols (2 AVX lanes)
 inline constexpr int64_t kGemmKC = 256;  ///< k-block depth
-inline constexpr int64_t kGemmMC = 96;   ///< row-block height (multiple of MR)
+inline constexpr int64_t kGemmMC = 96;   ///< tallest tile (multiple of MR)
 /// @}
 
 /// Products with fewer than this many multiply-adds run a direct serial
@@ -55,9 +58,11 @@ inline constexpr int64_t kGemmMC = 96;   ///< row-block height (multiple of MR)
 /// which the tiny bound guarantees; see gemm.cc).
 inline constexpr int64_t kGemmTinyFlops = 1 << 12;
 
-/// Products with fewer than this many multiply-adds stay on the calling
-/// thread; larger ones fan row blocks out over the global pool.
-inline constexpr int64_t kGemmParallelMinFlops = 1 << 18;
+/// Multiply-adds that pay for enlisting one more thread: a product of
+/// W multiply-adds runs on at most W / kGemmMinFlopsPerParticipant
+/// participants (the caller included), so smaller ones stay on the calling
+/// thread. Shared by the int8 kernels (quant.h).
+inline constexpr int64_t kGemmMinFlopsPerParticipant = 1 << 17;
 
 }  // namespace cpdg::tensor
 

@@ -13,44 +13,58 @@
 namespace cpdg::tensor {
 namespace {
 
-// Minimum per-chunk element count for parallel kernels. Chunk boundaries
-// depend only on this grain (never on the worker count), and every chunk
-// owns a disjoint slice of its output, so parallel results are bitwise
-// identical to serial ones.
-constexpr int64_t kElementGrain = 1 << 14;
+// Work that pays for enlisting one more thread, in units of one add or
+// multiply (about 0.3 ns a float on a 4-vCPU AVX2 guest): an op of W units
+// runs on at most W / kMinWorkPerParticipant participants, and ops below
+// twice the floor never touch the pool. A chunk holds one floor's worth of
+// work, so chunk boundaries depend only on the shape and the op. Every
+// chunk owns a disjoint slice of its output and the elementwise bodies are
+// chunk-shape independent, so results are bitwise identical however many
+// participants run them (pinned by GemmTest).
+constexpr int64_t kMinWorkPerParticipant = 1 << 14;
 
-// Serial cutoff: ops whose total scalar work is below this never touch the
-// pool — dispatch (mutex + condvar wakeups) costs more than the op itself,
-// which showed up as sub-1.0x "speedups" on small full-cell batches. The
-// elementwise bodies are chunk-shape independent, so results are bitwise
-// identical on either side of the cutoff (pinned by GemmTest).
-constexpr int64_t kMinParallelWork = 1 << 16;
+// Per-element cost of the transcendental bodies in those units, measured
+// at 200x32 on the same guest: expf/logf/cosf/sinf 5-6 ns, the branchy
+// stable sigmoid 9 ns, tanhf 26 ns. They fan out at far smaller sizes than
+// adds do.
+constexpr int64_t kCostSqrt = 4;
+constexpr int64_t kCostExp = 20;
+constexpr int64_t kCostSigmoid = 32;
+constexpr int64_t kCostTanh = 90;
 
-// Splits a flat element range into grain-sized chunks. Only ranges that
-// actually fan out over the pool get a trace span: sub-cutoff tensors run
-// serially on a fast path that must stay span-free (the encoder issues
-// thousands of tiny elementwise ops per batch).
-void ParallelElems(int64_t n, const std::function<void(int64_t, int64_t)>& fn) {
-  if (n < kMinParallelWork) {
+// Splits a flat element range of `cost`-unit elements into chunks. Only
+// ranges that can fan out get a trace span: smaller tensors run on a fast
+// path that must stay span-free (the encoder issues thousands of tiny
+// elementwise ops per batch).
+void ParallelElems(int64_t n, const std::function<void(int64_t, int64_t)>& fn,
+                   int64_t cost = 1) {
+  const int64_t work = n * cost;
+  if (work < 2 * kMinWorkPerParticipant) {
     if (n > 0) fn(0, n);
     return;
   }
   CPDG_TRACE_SPAN("tensor/elementwise");
-  util::ThreadPool::Global().ParallelFor(0, n, kElementGrain, fn);
+  // Whole cache lines per chunk, so neighbouring chunks never share one.
+  const int64_t grain =
+      std::max<int64_t>(16, kMinWorkPerParticipant / cost / 16 * 16);
+  util::ThreadPool::Global().ParallelFor(0, n, grain, fn,
+                                         work / kMinWorkPerParticipant);
 }
 
-// Splits a row range into chunks covering roughly kElementGrain scalar
-// operations each; `row_cost` is the per-row operation count.
+// Splits a row range into chunks of about one floor's worth of work;
+// `row_cost` is the per-row cost in the same units.
 void ParallelRows(int64_t rows, int64_t row_cost,
                   const std::function<void(int64_t, int64_t)>& fn) {
-  if (rows * row_cost < kMinParallelWork) {
+  const int64_t work = rows * row_cost;
+  if (work < 2 * kMinWorkPerParticipant) {
     if (rows > 0) fn(0, rows);
     return;
   }
   CPDG_TRACE_SPAN("tensor/rowwise");
-  int64_t grain =
-      std::max<int64_t>(1, kElementGrain / std::max<int64_t>(1, row_cost));
-  util::ThreadPool::Global().ParallelFor(0, rows, grain, fn);
+  const int64_t grain = std::max<int64_t>(
+      1, kMinWorkPerParticipant / std::max<int64_t>(1, row_cost));
+  util::ThreadPool::Global().ParallelFor(0, rows, grain, fn,
+                                         work / kMinWorkPerParticipant);
 }
 
 // Shapes are equal, or b is a [1, cols] row broadcast over a's rows.
@@ -82,25 +96,36 @@ void AccumulateBroadcast(const Tensor& b, const float* dout, int64_t n,
 
 // Generic elementwise unary op: forward computes f(x), backward multiplies
 // the upstream grad with dfdx evaluated from (x, y).
+// `fwd_cost` and `bwd_cost` are the per-element costs of the two bodies
+// (see kMinWorkPerParticipant).
 template <typename Fwd, typename Bwd>
-Tensor UnaryOp(const Tensor& a, Fwd fwd, Bwd bwd, const char* name) {
+Tensor UnaryOp(const Tensor& a, Fwd fwd, Bwd bwd, const char* name,
+               int64_t fwd_cost = 1, int64_t bwd_cost = 1) {
   Tensor out = Tensor::MakeOpResult(
       a.rows(), a.cols(), {a},
-      [a, bwd](Tensor& self) mutable {
+      [a, bwd, bwd_cost](Tensor& self) mutable {
         const float* dout = self.grad();
         const float* x = a.data();
         const float* y = self.data();
         float* gx = a.grad();
-        ParallelElems(a.size(), [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i) gx[i] += dout[i] * bwd(x[i], y[i]);
-        });
+        ParallelElems(
+            a.size(),
+            [&](int64_t lo, int64_t hi) {
+              for (int64_t i = lo; i < hi; ++i) {
+                gx[i] += dout[i] * bwd(x[i], y[i]);
+              }
+            },
+            bwd_cost);
       },
       name);
   const float* x = a.data();
   float* y = out.data();
-  ParallelElems(a.size(), [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) y[i] = fwd(x[i]);
-  });
+  ParallelElems(
+      a.size(),
+      [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) y[i] = fwd(x[i]);
+      },
+      fwd_cost);
   return out;
 }
 
@@ -359,13 +384,13 @@ Tensor Sigmoid(const Tensor& a) {
         float z = std::exp(x);
         return z / (1.0f + z);
       },
-      [](float, float y) { return y * (1.0f - y); }, "sigmoid");
+      [](float, float y) { return y * (1.0f - y); }, "sigmoid", kCostSigmoid);
 }
 
 Tensor Tanh(const Tensor& a) {
   return UnaryOp(
       a, [](float x) { return std::tanh(x); },
-      [](float, float y) { return 1.0f - y * y; }, "tanh");
+      [](float, float y) { return 1.0f - y * y; }, "tanh", kCostTanh);
 }
 
 Tensor Relu(const Tensor& a) {
@@ -377,13 +402,14 @@ Tensor Relu(const Tensor& a) {
 Tensor Exp(const Tensor& a) {
   return UnaryOp(
       a, [](float x) { return std::exp(x); },
-      [](float, float y) { return y; }, "exp");
+      [](float, float y) { return y; }, "exp", kCostExp);
 }
 
 Tensor Log(const Tensor& a, float eps) {
   return UnaryOp(
       a, [eps](float x) { return std::log(std::max(x, eps)); },
-      [eps](float x, float) { return 1.0f / std::max(x, eps); }, "log");
+      [eps](float x, float) { return 1.0f / std::max(x, eps); }, "log",
+      kCostExp);
 }
 
 Tensor Sqrt(const Tensor& a, float eps) {
@@ -393,7 +419,7 @@ Tensor Sqrt(const Tensor& a, float eps) {
         (void)x;
         return 0.5f / std::max(y, eps);
       },
-      "sqrt");
+      "sqrt", kCostSqrt);
 }
 
 Tensor Square(const Tensor& a) {
@@ -405,13 +431,13 @@ Tensor Square(const Tensor& a) {
 Tensor Cos(const Tensor& a) {
   return UnaryOp(
       a, [](float x) { return std::cos(x); },
-      [](float x, float) { return -std::sin(x); }, "cos");
+      [](float x, float) { return -std::sin(x); }, "cos", kCostExp, kCostExp);
 }
 
 Tensor Sin(const Tensor& a) {
   return UnaryOp(
       a, [](float x) { return std::sin(x); },
-      [](float x, float) { return std::cos(x); }, "sin");
+      [](float x, float) { return std::cos(x); }, "sin", kCostExp, kCostExp);
 }
 
 Tensor Sum(const Tensor& a) {
@@ -689,7 +715,7 @@ Tensor Softmax(const Tensor& a) {
       "softmax");
   const float* pa = a.data();
   float* po = out.data();
-  ParallelRows(n, 3 * d, [&](int64_t lo, int64_t hi) {
+  ParallelRows(n, (kCostExp + 3) * d, [&](int64_t lo, int64_t hi) {
     for (int64_t r = lo; r < hi; ++r) {
       float mx = pa[r * d];
       for (int64_t c = 1; c < d; ++c) mx = std::max(mx, pa[r * d + c]);

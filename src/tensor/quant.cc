@@ -185,19 +185,16 @@ void QuantGemmPackedVnni(const float* a, int64_t m, int64_t k,
   // kernel always reads MR rows and full k-quads. Pad contents are never
   // zeroed — k-tail quads multiply packed zeros and pad rows' lanes are
   // skipped by the epilogue — but resize() zero-fills on growth anyway.
+  // Each row tile quantizes its own rows inside the region.
   static thread_local std::vector<uint8_t> au_buf;
   static thread_local std::vector<float> ascale_buf;
   au_buf.resize(static_cast<size_t>(row_tiles * MR * kpad));
   ascale_buf.resize(static_cast<size_t>(m));
-  for (int64_t i = 0; i < m; ++i) {
-    ascale_buf[static_cast<size_t>(i)] =
-        QuantizeRowBiasedU8(a + i * k, k, au_buf.data() + i * kpad);
-  }
 
   const quant_internal::QuantPackedKernelFn micro =
       quant_internal::VnniPackedKernel();
-  const uint8_t* const aq = au_buf.data();
-  const float* const ascale = ascale_buf.data();
+  uint8_t* const aq = au_buf.data();
+  float* const ascale = ascale_buf.data();
   const int8_t* const bq = bt.packed.data();
   const int32_t* const bbias = bt.bias.data();
   const float* const bscale = bt.scales.data();
@@ -210,6 +207,9 @@ void QuantGemmPackedVnni(const float* a, int64_t m, int64_t k,
     for (int64_t tr = t0; tr < t1; ++tr) {
       const int64_t i0 = tr * MR;
       const int64_t mvalid = std::min<int64_t>(MR, m - i0);
+      for (int64_t i = i0; i < i0 + mvalid; ++i) {
+        ascale[i] = QuantizeRowBiasedU8(a + i * k, k, aq + i * kpad);
+      }
       micro(aq + i0 * kpad, kpad, bq, kpad, nblk, acc, ldacc);
       for (int64_t r = 0; r < mvalid; ++r) {
         const float sa = ascale[i0 + r];
@@ -223,14 +223,9 @@ void QuantGemmPackedVnni(const float* a, int64_t m, int64_t k,
     }
   };
 
-  if (m * k * n < kGemmParallelMinFlops || row_tiles == 1) {
-    run_tiles(0, row_tiles);
-  } else {
-    util::ThreadPool::Global().ParallelFor(
-        0, row_tiles, /*grain=*/1, [&](int64_t lo, int64_t hi) {
-          run_tiles(lo, hi);
-        });
-  }
+  util::ThreadPool::Global().ParallelFor(
+      0, row_tiles, /*grain=*/1, run_tiles,
+      /*work_units=*/m * k * n / kGemmMinFlopsPerParticipant);
 }
 #endif  // CPDG_HAVE_VNNI_KERNELS
 
@@ -248,25 +243,20 @@ void QuantGemmTransposedB(const float* a, int64_t m, int64_t k,
   }
 #endif
 
-  // Activation quantization: O(m*k) against the O(m*k*n) product, so it
-  // stays serial on the calling thread. Buffers are thread_local and
-  // reused across calls, like the GEMM pack buffers. Quantized straight
-  // into the widened kernel layout; the int8 form is never materialized
-  // for activations.
+  // Activation quantization, row by row inside each row tile of the
+  // region. Buffers are thread_local and reused across calls, like the
+  // GEMM pack buffers. Quantized straight into the widened kernel layout;
+  // the int8 form is never materialized for activations.
   static thread_local std::vector<int16_t> aq_buf;
   static thread_local std::vector<float> ascale_buf;
   aq_buf.resize(static_cast<size_t>(m * k));
   ascale_buf.resize(static_cast<size_t>(m));
-  for (int64_t i = 0; i < m; ++i) {
-    ascale_buf[static_cast<size_t>(i)] =
-        QuantizeRowWide(a + i * k, k, aq_buf.data() + i * k);
-  }
 
   const quant_internal::QuantMicroKernelFn micro = ActiveQuantMicroKernel();
   // Hoisted pointers: the buffers are thread_local, so naming them inside
   // the worker lambda would resolve to each worker's own instance.
-  const int16_t* const aq = aq_buf.data();
-  const float* const ascale = ascale_buf.data();
+  int16_t* const aq = aq_buf.data();
+  float* const ascale = ascale_buf.data();
   const int16_t* const bq = bt.wide.data();
   const float* const bscale = bt.scales.data();
 
@@ -281,6 +271,9 @@ void QuantGemmTransposedB(const float* a, int64_t m, int64_t k,
     for (int64_t tr = t0; tr < t1; ++tr) {
       const int64_t i0 = tr * MR;
       const int64_t mvalid = std::min<int64_t>(MR, m - i0);
+      for (int64_t i = i0; i < i0 + mvalid; ++i) {
+        ascale[i] = QuantizeRowWide(a + i * k, k, aq + i * k);
+      }
       micro(aq + i0 * k, k, bq, k, k, n, acc, n, mvalid);
       // Dequant epilogue: shared float code, one multiply order, so the
       // backend choice can never show in the output bits.
@@ -295,17 +288,13 @@ void QuantGemmTransposedB(const float* a, int64_t m, int64_t k,
     }
   };
 
-  // Same fan-out policy as the fp32 GEMM; tile rows own disjoint C slices
-  // and integer accumulation is exact, so any thread count is bitwise
-  // identical.
-  if (m * k * n < kGemmParallelMinFlops || row_tiles == 1) {
-    run_tiles(0, row_tiles);
-  } else {
-    util::ThreadPool::Global().ParallelFor(
-        0, row_tiles, /*grain=*/1, [&](int64_t lo, int64_t hi) {
-          run_tiles(lo, hi);
-        });
-  }
+  // Same fan-out rule as the fp32 GEMM (one participant per
+  // kGemmMinFlopsPerParticipant multiply-adds); tile rows own disjoint C
+  // slices and integer accumulation is exact, so any thread count is
+  // bitwise identical.
+  util::ThreadPool::Global().ParallelFor(
+      0, row_tiles, /*grain=*/1, run_tiles,
+      /*work_units=*/m * k * n / kGemmMinFlopsPerParticipant);
 }
 
 void QuantizedParamSet::AddWeight(const float* data, int64_t rows,

@@ -10,6 +10,7 @@
 #include "tensor/serialization.h"
 #include "util/check.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace cpdg::train {
@@ -394,6 +395,9 @@ TrainTelemetry TrainLoop::RunChronologicalPrepared(
   // Intra-batch tensor temporaries recycle through the batch arena for the
   // whole run (see tensor/arena.h).
   tensor::ArenaScope arena_scope;
+  // Kernel regions come back to back for the whole run, so pinned pool
+  // workers spin between them instead of parking.
+  util::ThreadPool::HotScope hot_pool;
 
   stop_requested_ = false;
   batches_run_ = 0;
@@ -538,6 +542,7 @@ TrainTelemetry TrainLoop::RunSteps(int64_t steps_per_epoch,
   CPDG_CHECK_GE(steps_per_epoch, 0);
   TrainTelemetry telemetry;
   tensor::ArenaScope arena_scope;
+  util::ThreadPool::HotScope hot_pool;
 
   stop_requested_ = false;
   batches_run_ = 0;

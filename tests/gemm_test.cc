@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -136,6 +137,74 @@ TEST(GemmTest, TransposedViewsMatchDoubleReference) {
   ExpectCloseToReference(db, ReferenceGemm(at, dout, k, m, n), m);
 }
 
+// The tiled fan-out must give the serial bits at every thread count, with
+// workers spinning or parked. The shapes cover a weight-gradient product
+// (m <= kGemmMC through a transposed A view, k > kGemmKC), a tall product
+// with n not a multiple of kGemmNR, several column tiles, a transposed B
+// view, and products on both sides of the work floor (below it the region
+// runs inline on the caller).
+TEST(GemmTest, TiledFanOutMatchesSerialAtEveryThreadCount) {
+  struct Shape {
+    int64_t m, k, n;
+    bool transpose_a, transpose_b;
+  };
+  const Shape shapes[] = {
+      {72, 2000, 32, true, false},   // dB = At·dOut
+      {200, 72, 37, false, false},   // row tiles of 24, partial panel
+      {97, 300, 150, false, false},  // two column tiles, k past KC
+      {150, 40, 300, false, true},   // dA = dOut·Bt
+      {30, 40, 50, false, false},    // below the floor
+      {40, 64, 100, false, false},   // just below two participants
+      {64, 64, 64, false, false},    // exactly two participants when hot
+  };
+  const int64_t floor = ts::kGemmMinFlopsPerParticipant;
+  const int64_t cold_floor = floor * util::ThreadPool::kColdFloorFactor;
+  ASSERT_LE(shapes[0].m, ts::kGemmMC);
+  ASSERT_GT(shapes[0].k, ts::kGemmKC);
+  ASSERT_LT(40 * 64 * 100, 2 * floor);
+  ASSERT_EQ(64 * 64 * 64, 2 * floor);
+  Rng rng(2024);
+  for (const Shape& s : shapes) {
+    SCOPED_TRACE(testing::Message()
+                 << "m=" << s.m << " k=" << s.k << " n=" << s.n);
+    std::vector<float> a = RandomVec(s.m * s.k, &rng);
+    std::vector<float> b = RandomVec(s.k * s.n, &rng);
+    const ts::GemmView av = s.transpose_a
+                                ? ts::GemmView{a.data(), s.m, s.k, 1, s.m}
+                                : ts::GemmView{a.data(), s.m, s.k, s.k, 1};
+    const ts::GemmView bv = s.transpose_b
+                                ? ts::GemmView{b.data(), s.k, s.n, 1, s.k}
+                                : ts::GemmView{b.data(), s.k, s.n, s.n, 1};
+    const int64_t flops = s.m * s.k * s.n;
+    auto run = [&](int threads) {
+      ThreadCountGuard guard(threads);
+      std::vector<float> c(static_cast<size_t>(s.m * s.n), 0.25f);
+      const int64_t dispatched0 =
+          util::ThreadPool::ReadMetrics().regions_dispatched;
+      ts::GemmAccumulate(av, bv, c.data());
+      const int64_t dispatched =
+          util::ThreadPool::ReadMetrics().regions_dispatched - dispatched0;
+      if (threads == 1 || flops < 2 * floor) {
+        EXPECT_EQ(dispatched, 0) << "threads=" << threads;
+      } else if (flops >= 2 * cold_floor) {
+        EXPECT_EQ(dispatched, 1) << "threads=" << threads;
+      }
+      return c;
+    };
+    const std::vector<float> serial = run(1);
+    for (bool hot : {false, true}) {
+      std::optional<util::ThreadPool::HotScope> scope;
+      if (hot) scope.emplace();
+      for (int threads : {2, 3, 4}) {
+        const std::vector<float> got = run(threads);
+        EXPECT_EQ(0, std::memcmp(serial.data(), got.data(),
+                                 serial.size() * sizeof(float)))
+            << "threads=" << threads << " hot=" << hot;
+      }
+    }
+  }
+}
+
 TEST(GemmTest, AccumulatesIntoExistingOutput) {
   const int64_t m = 13, k = 21, n = 19;
   Rng rng(77);
@@ -211,8 +280,8 @@ TEST(GemmTest, ElementwiseBackendsBitwiseIdentical) {
                            scalar.size() * sizeof(float)));
 }
 
-// The elementwise dispatch runs ops below kMinParallelWork (2^16 scalar
-// ops) serially on the calling thread. Results must not depend on which
+// The elementwise dispatch runs ops below twice its per-participant work
+// floor (2 x 2^15 scalar ops) serially on the calling thread. Results must not depend on which
 // side of the cutoff a shape lands on or on the pool size — pin both by
 // straddling the boundary at 1 and 4 threads.
 TEST(GemmTest, SerialCutoffBoundaryBitIdentical) {

@@ -219,24 +219,35 @@ TEST(QuantGemmTest, BackendsAreBitwiseIdentical) {
 
 TEST(QuantGemmTest, ThreadCountDoesNotChangeBits) {
   Rng rng(13);
-  // Big enough that 2*m*k*n clears kGemmParallelMinFlops and the driver
-  // fans strips out to the pool.
-  const int64_t m = 64, k = 128, n = 128;
-  ASSERT_GE(2 * m * k * n, ts::kGemmParallelMinFlops);
-  std::vector<float> a = RandomVec(m * k, &rng);
-  std::vector<float> b = RandomVec(k * n, &rng);
-  ts::QuantizedMatrix bt = ts::QuantizeTransposeInt8(b.data(), k, n);
-  std::vector<float> c1(static_cast<size_t>(m * n), 0.0f);
-  std::vector<float> c4(static_cast<size_t>(m * n), 0.0f);
-  {
-    ThreadCountGuard threads(1);
-    ts::QuantGemmTransposedB(a.data(), m, k, bt, c1.data());
+  // Products on both sides of the work floor: below it the driver stays on
+  // the calling thread, above it row tiles fan out to 2..4 participants.
+  const int64_t floor = ts::kGemmMinFlopsPerParticipant;
+  const struct {
+    int64_t m, k, n;
+  } shapes[] = {{64, 128, 128}, {200, 72, 32}, {7, 63, 33}, {96, 300, 40}};
+  bool below = false, above = false;
+  for (const auto& s : shapes) {
+    below = below || s.m * s.k * s.n < 2 * floor;
+    above = above || s.m * s.k * s.n >= 4 * floor;
+    std::vector<float> a = RandomVec(s.m * s.k, &rng);
+    std::vector<float> b = RandomVec(s.k * s.n, &rng);
+    ts::QuantizedMatrix bt = ts::QuantizeTransposeInt8(b.data(), s.k, s.n);
+    auto run = [&](int threads) {
+      ThreadCountGuard guard(threads);
+      std::vector<float> c(static_cast<size_t>(s.m * s.n), 0.0f);
+      ts::QuantGemmTransposedB(a.data(), s.m, s.k, bt, c.data());
+      return c;
+    };
+    const std::vector<float> serial = run(1);
+    for (int threads : {2, 3, 4}) {
+      const std::vector<float> got = run(threads);
+      EXPECT_EQ(0, std::memcmp(serial.data(), got.data(),
+                               serial.size() * sizeof(float)))
+          << "m=" << s.m << " k=" << s.k << " n=" << s.n
+          << " threads=" << threads;
+    }
   }
-  {
-    ThreadCountGuard threads(4);
-    ts::QuantGemmTransposedB(a.data(), m, k, bt, c4.data());
-  }
-  EXPECT_EQ(0, std::memcmp(c1.data(), c4.data(), c1.size() * sizeof(float)));
+  EXPECT_TRUE(below && above);
 }
 
 TEST(QuantGemmTest, AccumulatesIntoExistingOutput) {
