@@ -125,7 +125,7 @@ ThreadPool::ThreadPool(int num_threads)
   const int num_workers = num_threads_ - 1;
   std::vector<int> cpus = AllowedCpuList();
   if (num_workers > 0 && cpus.size() > 1) {
-    // The building thread usually issues the regions and runs stripe 0
+    // The building thread usually issues the regions and runs its stripe
     // where it is now, so its CPU goes to no worker.
     const int self = sched_getcpu();
     auto it = std::find(cpus.begin(), cpus.end(), self);

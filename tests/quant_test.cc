@@ -219,7 +219,7 @@ TEST(QuantGemmTest, BackendsAreBitwiseIdentical) {
 
 TEST(QuantGemmTest, ThreadCountDoesNotChangeBits) {
   Rng rng(13);
-  // Products on both sides of the work floor: below it the driver stays on
+  // Products on both sides of the work floor: below it the kernel stays on
   // the calling thread, above it row tiles fan out to 2..4 participants.
   const int64_t floor = ts::kGemmMinFlopsPerParticipant;
   const struct {
