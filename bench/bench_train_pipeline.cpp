@@ -12,13 +12,28 @@
 //   - allocations/batch with the arena enabled is not >= 5x lower than
 //     with it disabled (measured at depth 0, where the count is
 //     single-threaded and stable),
-//   - depth 4 / 4 workers is not >= 1.3x faster than serial — gated only
-//     on machines with >= 2 cores; a 1-core box cannot overlap.
+//   - depth 4 / 4 workers does not hide at least half of the prepare
+//     stage from the consumer (median over interleaved serial / pipelined
+//     pairs) — gated only when the process may use >= 2 CPUs; on one CPU
+//     nothing can overlap.
+//
+// Sampling is a small share of a batch here (~8% at smoke size), so by
+// Amdahl's law overlapping it can speed an epoch up by at most
+// serial / (serial - sample_seconds), ~1.08x; a fixed wall-clock bar
+// above that cannot be met, and a 0.1 s epoch's wall clock swings by
+// +-15% between runs on a shared VM. The gate therefore checks the
+// overlap itself: at depth 0 the whole prepare time (sample_seconds) sits
+// on the consumer's critical path; pipelined, only the consumer's waits
+// for a batch that is not ready yet
+// (train.prefetch.consumer_stall_seconds) are left of it. The queue
+// handoff itself is not in that figure, so the median wall-clock speedup
+// and its Amdahl bound are printed beside it.
 //
 // Usage:
 //   bench_train_pipeline          full size:  2000 nodes, 20k events
 //   bench_train_pipeline --smoke  CI-sized:   300 nodes, 4k events
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -68,6 +83,11 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace {
 
 using namespace cpdg;
+
+/// Interleaved serial / pipelined pairs behind the prefetch gate.
+constexpr int kGateReps = 7;
+/// Share of the serial prepare time the pipeline must hide.
+constexpr double kMinHiddenShare = 0.5;
 
 struct Sizes {
   int64_t num_nodes = 2000;
@@ -169,6 +189,12 @@ Record RunOnce(const graph::TemporalGraph& graph, const Sizes& sizes,
   return rec;
 }
 
+double MedianOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
 void WriteJson(const std::vector<Record>& records, const char* path) {
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -266,19 +292,43 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  const Record& deep = records[3];  // pretrain_d4_w4
-  if (hw >= 2) {
-    std::printf("prefetch speedup (d4/w4 vs serial): %.2fx\n",
-                deep.speedup_vs_serial);
-    if (deep.speedup_vs_serial < 1.3) {
+  const int cpus = util::ThreadPool::AllowedCpus();
+  if (cpus >= 2) {
+    // The trace keeps covering the five scenarios above only.
+    obs::SetTraceEnabled(false);
+    obs::Histogram& stall = obs::MetricsRegistry::Global().histogram(
+        "train.prefetch.consumer_stall_seconds");
+    std::vector<double> hidden, speedups, bounds;
+    for (int rep = 0; rep < kGateReps; ++rep) {
+      Record s = RunOnce(graph, sizes, "gate_serial", 0, 1, true);
+      const double stall_before = stall.sum();
+      Record d = RunOnce(graph, sizes, "gate_d4_w4", 4, 4, true);
+      const double exposed = stall.sum() - stall_before;
+      if (s.losses != serial.losses || d.losses != serial.losses) {
+        std::fprintf(stderr, "FAIL gate rep %d: losses diverge from serial "
+                     "run\n", rep);
+        ok = false;
+      }
+      hidden.push_back(1.0 - exposed / s.sample_seconds);
+      speedups.push_back(s.seconds / d.seconds);
+      bounds.push_back(s.seconds / (s.seconds - s.sample_seconds));
+    }
+    const double hidden_share = MedianOf(hidden);
+    std::printf("prefetch (d4/w4 vs serial, median of %d interleaved "
+                "pairs): hides %.0f%% of the prepare stage; wall-clock "
+                "speedup %.2fx, Amdahl bound %.2fx\n",
+                kGateReps, 100.0 * hidden_share, MedianOf(speedups),
+                MedianOf(bounds));
+    if (hidden_share < kMinHiddenShare) {
       std::fprintf(stderr,
-                   "FAIL prefetch speedup %.2fx below the 1.3x bar\n",
-                   deep.speedup_vs_serial);
+                   "FAIL prefetch hides %.0f%% of the prepare stage, below "
+                   "the %.0f%% bar\n",
+                   100.0 * hidden_share, 100.0 * kMinHiddenShare);
       ok = false;
     }
   } else {
-    std::printf("prefetch speedup gate skipped: %u core(s), overlap "
-                "needs >= 2\n", hw);
+    std::printf("prefetch gate skipped: %d allowed CPU(s), overlap needs "
+                ">= 2\n", cpus);
   }
 
   WriteJson(records, "BENCH_train.json");

@@ -150,7 +150,12 @@ PreparedBatch PrefetchPipeline::Next(int64_t index) {
   int64_t ready_count = 0;
   for (uint8_t r : slot_ready_) ready_count += r;
   metrics.queue_depth.Set(ready_count);
-  claimable_.notify_all();
+  lock.unlock();
+  // Taking batch `index` moves the window by one ticket, so one producer
+  // can claim it: wake only that one, after the unlock, rather than every
+  // producer to find the window full again. Producers still waiting when
+  // the last ticket goes are woken by Stop().
+  claimable_.notify_one();
   return batch;
 }
 
