@@ -223,8 +223,11 @@ void QuantGemmPackedVnni(const float* a, int64_t m, int64_t k,
     }
   };
 
+  // Passed by one reference, so the region's std::function stays inside
+  // its small-object buffer (no allocation per product).
   util::ThreadPool::Global().ParallelFor(
-      0, row_tiles, /*grain=*/1, run_tiles,
+      0, row_tiles, /*grain=*/1,
+      [&run_tiles](int64_t t0, int64_t t1) { run_tiles(t0, t1); },
       /*work_units=*/m * k * n / kGemmMinFlopsPerParticipant);
 }
 #endif  // CPDG_HAVE_VNNI_KERNELS
@@ -291,9 +294,10 @@ void QuantGemmTransposedB(const float* a, int64_t m, int64_t k,
   // Same fan-out rule as the fp32 GEMM (one participant per
   // kGemmMinFlopsPerParticipant multiply-adds); tile rows own disjoint C
   // slices and integer accumulation is exact, so any thread count is
-  // bitwise identical.
+  // bitwise identical. Passed by one reference, like the VNNI path.
   util::ThreadPool::Global().ParallelFor(
-      0, row_tiles, /*grain=*/1, run_tiles,
+      0, row_tiles, /*grain=*/1,
+      [&run_tiles](int64_t t0, int64_t t1) { run_tiles(t0, t1); },
       /*work_units=*/m * k * n / kGemmMinFlopsPerParticipant);
 }
 

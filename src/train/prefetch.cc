@@ -8,6 +8,7 @@
 #include "obs/profiler.h"
 #include "tensor/arena.h"
 #include "util/check.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace cpdg::train {
@@ -68,6 +69,8 @@ PrefetchPipeline::PrefetchPipeline(const PrefetchOptions& options,
   workers_.reserve(static_cast<size_t>(n));
   for (int64_t i = 0; i < n; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
+    // Producers must overlap the consumer, not take turns on its CPU.
+    util::ThreadPool::KeepOffCallerCpu(&workers_.back());
   }
 }
 
@@ -150,12 +153,7 @@ PreparedBatch PrefetchPipeline::Next(int64_t index) {
   int64_t ready_count = 0;
   for (uint8_t r : slot_ready_) ready_count += r;
   metrics.queue_depth.Set(ready_count);
-  lock.unlock();
-  // Taking batch `index` moves the window by one ticket, so one producer
-  // can claim it: wake only that one, after the unlock, rather than every
-  // producer to find the window full again. Producers still waiting when
-  // the last ticket goes are woken by Stop().
-  claimable_.notify_one();
+  claimable_.notify_all();
   return batch;
 }
 

@@ -349,6 +349,19 @@ int ThreadPool::AllowedCpus() {
   return std::max<int>(1, static_cast<int>(AllowedCpuList().size()));
 }
 
+void ThreadPool::KeepOffCallerCpu(std::thread* t) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0 || CPU_COUNT(&set) < 2) {
+    return;
+  }
+  const int self = sched_getcpu();
+  if (self < 0 || self >= CPU_SETSIZE) return;
+  CPU_CLR(self, &set);
+  // Best effort: a refused mask leaves the thread where the kernel put it.
+  pthread_setaffinity_np(t->native_handle(), sizeof(set), &set);
+}
+
 ThreadPoolMetrics ThreadPool::ReadMetrics() {
   const Stats& s = GlobalStats();
   auto read = [](const std::atomic<int64_t>& v) {

@@ -141,6 +141,12 @@ class ThreadPool {
   /// reports); at least 1.
   static int AllowedCpus();
 
+  /// \brief Restricts helper thread `t` to the calling thread's affinity
+  /// mask without the calling thread's current CPU; a one-CPU mask is left
+  /// as it is. A woken thread may otherwise run on its waker's CPU and take
+  /// turns with it instead of overlapping it.
+  static void KeepOffCallerCpu(std::thread* t);
+
   static ThreadPoolMetrics ReadMetrics();
 
  private:

@@ -280,19 +280,33 @@ TEST(GemmTest, ElementwiseBackendsBitwiseIdentical) {
                            scalar.size() * sizeof(float)));
 }
 
-// The elementwise dispatch runs ops below twice its per-participant work
-// floor (2 x 2^15 scalar ops) serially on the calling thread. Results must not depend on which
-// side of the cutoff a shape lands on or on the pool size — pin both by
-// straddling the boundary at 1 and 4 threads.
+// The elementwise dispatch runs cost-1 ops below twice its per-participant
+// work floor (2 x 2^14 = 2^15 elements) serially on the calling thread;
+// from 2^15 on it calls ParallelFor, which fans out at two floors when the
+// workers spin and at 2 x kColdFloorFactor floors (2^18 elements) when they
+// park. Results must not depend on which side of either line a shape lands
+// on, on the pool size or on the wake policy — pin all three by running
+// shapes just below the cutoff, exactly at it and past the cold fan-out
+// line at 1-4 threads, hot and cold.
 TEST(GemmTest, SerialCutoffBoundaryBitIdentical) {
-  // 255*257 = 65535 (last shape below the cutoff), 256*257 = 65792 (above).
   const struct {
     int64_t rows, cols;
-  } shapes[] = {{255, 257}, {256, 257}};
+  } shapes[] = {
+      {151, 217},  // 32767 = 2^15 - 1: never reaches the pool
+      {128, 256},  // 32768 = 2^15: reaches the pool, fans out only hot
+      {513, 513},  // 263169 >= 2^18: fans out hot and cold
+  };
+  // kMinWorkPerParticipant in tensor/ops.cc.
+  const int64_t floor = int64_t{1} << 14;
+  const int64_t cold_line = 2 * util::ThreadPool::kColdFloorFactor * floor;
+  ASSERT_EQ(151 * 217, 2 * floor - 1);
+  ASSERT_GE(513 * 513, cold_line);
   for (const auto& s : shapes) {
     SCOPED_TRACE(testing::Message() << s.rows << "x" << s.cols);
+    const int64_t size = s.rows * s.cols;
     auto run = [&](int threads) {
       ThreadCountGuard guard(threads);
+      const util::ThreadPoolMetrics before = util::ThreadPool::ReadMetrics();
       Rng rng(99);
       ts::Tensor x = ts::Tensor::RandomUniform(s.rows, s.cols, 1.0f, &rng,
                                                /*requires_grad=*/true);
@@ -300,15 +314,34 @@ TEST(GemmTest, SerialCutoffBoundaryBitIdentical) {
                                                /*requires_grad=*/false);
       ts::Tensor z = ts::Mean(ts::Mul(ts::Add(x, y), x));
       z.Backward();
+      const util::ThreadPoolMetrics d =
+          util::ThreadPool::ReadMetrics() - before;
+      if (size < 2 * floor) {
+        EXPECT_EQ(d.regions_dispatched + d.regions_inline, 0)
+            << "threads=" << threads;
+      } else {
+        EXPECT_GT(d.regions_dispatched + d.regions_inline, 0)
+            << "threads=" << threads;
+      }
+      if (threads > 1 && size >= cold_line) {
+        EXPECT_GT(d.regions_dispatched, 0) << "threads=" << threads;
+      }
       std::vector<float> out(x.grad(), x.grad() + x.size());
       out.push_back(z.item());
       return out;
     };
-    std::vector<float> serial = run(1);
-    std::vector<float> parallel = run(4);
-    ASSERT_EQ(serial.size(), parallel.size());
-    EXPECT_EQ(0, std::memcmp(serial.data(), parallel.data(),
-                             serial.size() * sizeof(float)));
+    const std::vector<float> serial = run(1);
+    for (bool hot : {false, true}) {
+      std::optional<util::ThreadPool::HotScope> scope;
+      if (hot) scope.emplace();
+      for (int threads : {2, 3, 4}) {
+        const std::vector<float> got = run(threads);
+        ASSERT_EQ(serial.size(), got.size());
+        EXPECT_EQ(0, std::memcmp(serial.data(), got.data(),
+                                 serial.size() * sizeof(float)))
+            << "threads=" << threads << " hot=" << hot;
+      }
+    }
   }
 }
 

@@ -216,6 +216,34 @@ TEST(ThreadPoolTest, StripesOfALongRegionRunOnDistinctCpus) {
   EXPECT_EQ(std::count(cpus.begin(), cpus.end(), caller_cpu), 1);
 }
 
+TEST(ThreadPoolTest, KeepOffCallerCpuDropsOnlyTheCallersCpu) {
+  const int allowed = ThreadPool::AllowedCpus();
+  if (allowed < 2) {
+    GTEST_SKIP() << "affinity mask has one CPU; nothing to keep off";
+  }
+  std::atomic<bool> go{false};
+  int helper_cpu = -1;
+  std::thread helper([&] {
+    while (!go.load()) std::this_thread::yield();
+    helper_cpu = sched_getcpu();
+  });
+  const int before = sched_getcpu();
+  ThreadPool::KeepOffCallerCpu(&helper);
+  const int after = sched_getcpu();
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  const int got = pthread_getaffinity_np(helper.native_handle(), sizeof(set),
+                                         &set);
+  go.store(true);
+  helper.join();
+  ASSERT_EQ(got, 0);
+  EXPECT_EQ(CPU_COUNT(&set), allowed - 1);
+  EXPECT_TRUE(CPU_ISSET(helper_cpu, &set));
+  // The caller may migrate during the call; when it did not, its CPU is
+  // the one left out.
+  if (before == after) EXPECT_FALSE(CPU_ISSET(before, &set));
+}
+
 TEST(ThreadPoolTest, WorkUnitsCapParticipants) {
   // No HotScope, so the workers park between regions and a participant
   // costs kColdFloorFactor work units.
